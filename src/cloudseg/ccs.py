@@ -8,15 +8,10 @@ claimed, which is exactly why warm clouds go undetected by this scheme.
 
 from dataclasses import dataclass
 
-import numpy as np
-from scipy import ndimage
-
 from .flood import priority_flood, seed_order
 from .markers import label_components
 from .raster import CloudMask, Raster2D, SegmentMap, Units
 from .watershed import merge_small_regions
-
-_EIGHT = np.ones((3, 3), dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -68,8 +63,7 @@ def ccs_segment(bt: Raster2D, cfg: CcsConfig = CcsConfig()) -> SegmentMap:
         return SegmentMap(labels, allow_zero=True)
     for level in cfg.threshold_levels[1:]:
         eligible = (labels == 0) & (values <= level)
-        frontier = (labels > 0) & ndimage.binary_dilation(eligible, structure=_EIGHT)
-        seeds = seed_order(np.where(frontier, labels, 0))
+        seeds = seed_order(labels, eligible)
         if seeds:
             labels = priority_flood(values, labels, seeds, limit=level)
     seg = SegmentMap(labels, allow_zero=True)

@@ -204,7 +204,10 @@ def read_segment_map(path) -> SegmentMap:
     labels = planes[0].astype(np.int64)
     if labels.max() >= _MAX_ELEMENTS:
         raise FormatError("label value overflow")
-    return SegmentMap(labels.astype(np.int32), allow_zero=True)
+    try:
+        return SegmentMap(labels.astype(np.int32), allow_zero=True)
+    except ValueError as exc:
+        raise FormatError(f"invalid segment labels: {exc}") from exc
 
 
 def read_cloud_mask(path) -> CloudMask:

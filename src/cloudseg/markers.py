@@ -11,10 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from .flood import _EIGHT
 from .morphology import GradientField
 from .raster import MarkerMap
-
-_EIGHT = np.ones((3, 3), dtype=bool)
 
 
 class ConstantFieldError(ValueError):

@@ -145,7 +145,7 @@ def _validate_labels(labels, kind, allow_zero, require_full):
     if k >= 1:
         present = np.bincount(lab.ravel(), minlength=k + 1)[1:]
         if (present == 0).any():
-            missing = [i + 1 for i in np.flatnonzero(present == 0)]
+            missing = (np.flatnonzero(present == 0) + 1).tolist()
             raise ValueError(f"{kind} labels must be consecutive 1..K, missing {missing}")
     return lab, k
 

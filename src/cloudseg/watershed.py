@@ -31,8 +31,9 @@ def watershed_from_markers(field: GradientField, markers: MarkerMap) -> SegmentM
     """Flood the gradient surface from the marker components.
 
     Each marker keeps its label; every pixel ends up in exactly one of the
-    K regions. Marker pixels seed the flood in ascending label order,
-    row-major within each component, and growth follows the deterministic
+    K regions. Marker pixels on the frontier (next to an unlabeled pixel)
+    seed the flood in ascending label order, row-major within each
+    component, and growth follows the deterministic
     priority-flood semantics of :mod:`cloudseg.flood`. The result is a
     total partition with bit-identical output for identical input.
     """
@@ -40,7 +41,8 @@ def watershed_from_markers(field: GradientField, markers: MarkerMap) -> SegmentM
         raise ValueError(f"shape mismatch: field {field.shape} vs markers {markers.shape}")
     if markers.count < 1:
         raise EmptyMarkerMapError("marker map has no seed components")
-    labels = priority_flood(field.values, markers.labels, seed_order(markers.labels))
+    seeds = seed_order(markers.labels, markers.labels == 0)
+    labels = priority_flood(field.values, markers.labels, seeds)
     return SegmentMap(labels)
 
 

@@ -105,6 +105,37 @@ def flood_components(mask: np.ndarray) -> np.ndarray:
     return labels
 
 
+def all_seeds_flood(priority: np.ndarray, labels: np.ndarray, limit=None) -> np.ndarray:
+    """Priority flood seeded from every labeled pixel.
+
+    Seeds enter in ascending label order, row-major within a label; the
+    heap holds (value, seq, row, col) with a global insertion counter;
+    a popped pixel hands its label to each unlabeled in-bounds
+    8-neighbour whose value is within the limit, which then enters the
+    heap at its own value.
+    """
+    h, w = labels.shape
+    out = np.array(labels, dtype=np.int64)
+    seeds = sorted(((int(out[r, c]), r, c) for r in range(h) for c in range(w) if out[r, c] > 0))
+    heap = []
+    seq = 0
+    for _, r, c in seeds:
+        heapq.heappush(heap, (float(priority[r, c]), seq, r, c))
+        seq += 1
+    while heap:
+        _, _, r, c = heapq.heappop(heap)
+        for dr, dc in _NEIGHBOURS:
+            nr, nc = r + dr, c + dc
+            if not (0 <= nr < h and 0 <= nc < w) or out[nr, nc] != 0:
+                continue
+            value = float(priority[nr, nc])
+            if limit is None or value <= limit:
+                out[nr, nc] = out[r, c]
+                heapq.heappush(heap, (value, seq, nr, nc))
+                seq += 1
+    return out.astype(np.int32)
+
+
 def label_is_connected(labels: np.ndarray, label: int) -> bool:
     """True iff the pixels carrying `label` form one 8-connected set."""
     mask = labels == label

@@ -184,6 +184,12 @@ class TestDistinctErrors:
         with pytest.raises(FormatError, match="0 or 1"):
             read_cloud_mask(self._decode(tmp_path, data))
 
+    def test_segment_label_gap(self, tmp_path):
+        labels = np.array([1, 2, 5, 5], "<u4").tobytes()
+        data = header(3, 2, 2, 1) + b"labels".ljust(16, b"\0") + labels
+        with pytest.raises(FormatError, match=r"missing \[3, 4\]"):
+            read_segment_map(self._decode(tmp_path, data))
+
     def test_volume_bad_magic(self, tmp_path):
         with pytest.raises(FormatError, match="magic"):
             read_volume_file(self._decode(tmp_path, b"GMS1" + bytes(40)))
