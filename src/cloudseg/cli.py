@@ -179,7 +179,7 @@ def _cmd_segment(args) -> int:
     marker_map = generate_markers(field, otsu, min_seed_area=args.min_seed_area)
     seg = watershed_from_markers(field, marker_map)
     if args.min_area > 0:
-        seg = merge_small_regions(seg, field, min_area=args.min_area)
+        seg = merge_small_regions(seg, min_area=args.min_area)
     bt = selected.raster(args.bt_channel or selected.channel_ids[0])
     mask, stats = classify_regions(seg, bt, clear_sky_cutoff=args.clear_sky_cutoff, gradient=field)
     write_raster_file(seg, args.segments_output)

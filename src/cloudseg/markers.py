@@ -75,17 +75,9 @@ def otsu_threshold(field: GradientField, bins: int = 256) -> OtsuResult:
 
 def label_components(mask: np.ndarray) -> np.ndarray:
     """8-connected components of a boolean mask, labeled 1..K in row-major
-    order of each component's first pixel. Background stays 0."""
-    labeled, count = ndimage.label(mask, structure=_EIGHT)
-    if count == 0:
-        return labeled.astype(np.int32)
-    flat = labeled.ravel()
-    values, first = np.unique(flat, return_index=True)
-    nonzero = values != 0
-    order = values[nonzero][np.argsort(first[nonzero])]
-    remap = np.zeros(int(values.max()) + 1, dtype=np.int32)
-    remap[order] = np.arange(1, len(order) + 1, dtype=np.int32)
-    return remap[labeled]
+    order of each component's first pixel (the order ``ndimage.label``
+    assigns). Background stays 0."""
+    return ndimage.label(mask, structure=_EIGHT)[0]
 
 
 def generate_markers(field: GradientField, otsu: OtsuResult, min_seed_area: int = 8) -> MarkerMap:
@@ -107,17 +99,13 @@ def generate_markers(field: GradientField, otsu: OtsuResult, min_seed_area: int 
     if count == 0:
         raise NoSeedRegionsError("no pixel falls at or below the threshold")
     if min_seed_area > 1:
-        areas = np.bincount(labels.ravel(), minlength=count + 1)
-        demoted = np.flatnonzero(areas < min_seed_area)
-        demoted = demoted[demoted > 0]
-        if demoted.size:
-            keep = np.ones(count + 1, dtype=bool)
-            keep[demoted] = False
-            survivors = labels * keep[labels]
-            if survivors.max() == 0:
-                raise NoSeedRegionsError(
-                    f"all {count} seed components are smaller than min_seed_area="
-                    f"{min_seed_area}; use a smaller value"
-                )
-            labels = label_components(survivors > 0)
+        keep = np.bincount(labels.ravel(), minlength=count + 1) >= min_seed_area
+        keep[0] = False
+        if not keep.any():
+            raise NoSeedRegionsError(
+                f"all {count} seed components are smaller than min_seed_area="
+                f"{min_seed_area}; use a smaller value"
+            )
+        # dropping whole components joins no others: renumber survivors in order
+        labels = (np.cumsum(keep, dtype=np.int32) * keep)[labels]
     return MarkerMap(labels)

@@ -1,6 +1,7 @@
 """Marker-controlled watershed flooding, small-region merging, and
 cloud/clear classification of the resulting segments."""
 
+import heapq
 from dataclasses import dataclass
 from typing import Optional
 
@@ -85,52 +86,63 @@ def _compact(labels: np.ndarray, allow_zero: bool) -> SegmentMap:
     return SegmentMap(remap[labels], allow_zero=allow_zero)
 
 
-def merge_small_regions(seg: SegmentMap, field: Optional[GradientField] = None,
-                        min_area: int = 1) -> SegmentMap:
+def merge_small_regions(seg: SegmentMap, min_area: int = 1) -> SegmentMap:
     """Absorb regions smaller than min_area into their dominant neighbour.
 
     Repeatedly takes the smallest offending region (ties: lowest label) and
     merges it into the neighbouring region sharing the longest common
     boundary, measured in 8-adjacent pixel pairs (ties: lower label).
     Label 0, where present, is untouchable: an undersized region with no
-    positive-label neighbour is removed to 0 instead. Surviving labels are
-    recompacted to 1..K' in ascending order, so min_area <= 1 is the
-    identity.
+    positive-label neighbour is removed to 0 instead. Merging stops when
+    at most one region is left. Survivors are recompacted to 1..K' in
+    ascending order, so min_area == 1 is the identity.
 
-    The gradient field is accepted for interface stability; the merge rule
-    itself is purely geometric.
+    The image is scanned once, into a region adjacency graph ({neighbour:
+    npairs} per label) that each merge updates. This is exact because pair
+    counts add up under relabelling: (victim, x) pairs become (target, x)
+    pairs and (victim, target) pairs become interior. Areas only grow, so
+    a heap of (area, label) entries, skipping dead labels and outdated
+    areas, yields the same victim as a scan of all offenders.
+    Cost: O(pixels + regions * degree * log regions).
     """
     if min_area < 1:
         raise ValueError(f"min_area must be positive, got {min_area}")
-    labels = seg.labels.copy()
+    labels = seg.labels
     allow_zero = bool((labels == 0).any())
-    if min_area == 1:
+    top = int(labels.max())
+    areas = np.bincount(labels.ravel(), minlength=top + 1).tolist()
+    heap = sorted((a, l) for l, a in enumerate(areas) if l and a < min_area)  # a valid heap
+    if not heap:
         return _compact(labels, allow_zero)
-    while True:
-        top = int(labels.max())
-        if top == 0:
-            break
-        areas = np.bincount(labels.ravel(), minlength=top + 1)
-        live = np.flatnonzero(areas[1:] > 0) + 1
-        if len(live) <= 1:
-            break
-        offenders = [l for l in live if areas[l] < min_area]
-        if not offenders:
-            break
-        victim = min(offenders, key=lambda l: (areas[l], l))
-        counts = _boundary_counts(labels)
-        neighbours = {}
-        for (a, b), c in counts.items():
-            if a == victim:
-                neighbours[b] = neighbours.get(b, 0) + c
-            elif b == victim:
-                neighbours[a] = neighbours.get(a, 0) + c
-        if not neighbours:
-            labels[labels == victim] = 0
+    adjacency = [{} for _ in range(top + 1)]
+    for (a, b), c in _boundary_counts(labels).items():
+        adjacency[a][b] = adjacency[b][a] = c
+    live = top  # SegmentMap labels are consecutive
+    merges = []
+    while heap and live > 1:
+        area, victim = heapq.heappop(heap)
+        if areas[victim] != area:
+            continue  # dead, or grown since this entry was pushed
+        areas[victim] = 0
+        live -= 1
+        row = adjacency[victim]
+        target = min(row, key=lambda l: (-row[l], l)) if row else 0
+        merges.append((victim, target))
+        if not target:
             continue
-        target = min(neighbours, key=lambda l: (-neighbours[l], l))
-        labels[labels == victim] = target
-    return _compact(labels, allow_zero)
+        into = adjacency[target]
+        for x, c in row.items():
+            del adjacency[x][victim]
+            if x != target:
+                adjacency[x][target] = adjacency[x].get(target, 0) + c
+                into[x] = into.get(x, 0) + c
+        areas[target] += area
+        if areas[target] < min_area:
+            heapq.heappush(heap, (areas[target], target))
+    remap = np.arange(top + 1, dtype=np.int32)
+    for victim, target in reversed(merges):
+        remap[victim] = remap[target]
+    return _compact(remap[labels], allow_zero)
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,39 @@ def shared_boundary_length(labels: np.ndarray, a: int, b: int) -> int:
     return count
 
 
+def rescan_merge(labels: np.ndarray, min_area: int) -> np.ndarray:
+    """Small-region merge that recounts every boundary after each merge.
+
+    While more than one region is left and some region is smaller than
+    min_area: take the smallest (ties: lowest label), count its 8-adjacent
+    pixel pairs with each positive-label neighbour, and relabel it to the
+    neighbour with the most pairs (ties: lowest label), or to 0 when it
+    has none. Survivors are then renumbered 1..K' in ascending order.
+    """
+    out = np.array(labels, dtype=np.int64)
+    while True:
+        areas = {}
+        for v in out.ravel().tolist():
+            if v > 0:
+                areas[v] = areas.get(v, 0) + 1
+        offenders = [l for l in areas if areas[l] < min_area]
+        if len(areas) <= 1 or not offenders:
+            break
+        victim = min(offenders, key=lambda l: (areas[l], l))
+        shared = {}
+        for p, q in boundary_pairs(out):
+            a, b = int(out[p]), int(out[q])
+            other = b if a == victim else a if b == victim else 0
+            if other > 0:
+                shared[other] = shared.get(other, 0) + 1
+        target = min(shared, key=lambda l: (-shared[l], l)) if shared else 0
+        out[out == victim] = target
+    survivors = sorted(set(out.ravel().tolist()) - {0})
+    renumber = {old: new for new, old in enumerate(survivors, start=1)}
+    renumber[0] = 0
+    return np.array([[renumber[v] for v in row] for row in out.tolist()], dtype=np.int32)
+
+
 def tally(pred: np.ndarray, truth: np.ndarray):
     """Per-pixel contingency tally with explicit Python loops."""
     tp = fn = fp = tn = 0

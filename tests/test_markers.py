@@ -56,6 +56,21 @@ class TestLabelComponents:
             want = oracles.flood_components(mask)
             np.testing.assert_array_equal(got, want)
 
+    def test_matches_bfs_oracle_on_edge_shapes(self):
+        rng = np.random.default_rng(17)
+        masks = [np.zeros((5, 7), dtype=bool), np.ones((5, 7), dtype=bool),
+                 np.zeros((1, 1), dtype=bool), np.ones((1, 1), dtype=bool)]
+        for n in range(1, 13):
+            masks.append(rng.random((1, n)) > 0.5)
+            masks.append(rng.random((n, 1)) > 0.5)
+        for _ in range(300):
+            h, w = (int(v) for v in rng.integers(1, 13, size=2))
+            masks.append(rng.random((h, w)) < rng.random())
+        for mask in masks:
+            got = label_components(mask)
+            assert got.dtype == np.int32
+            np.testing.assert_array_equal(got, oracles.flood_components(mask))
+
     def test_row_major_first_pixel_order(self):
         mask = np.zeros((3, 8), dtype=bool)
         mask[0, 5] = True          # component A, first pixel earlier in row-major order
@@ -103,6 +118,20 @@ class TestGenerateMarkers:
         assert markers.count == 1
         assert markers.labels[2, 7] == 0
         assert markers.labels[2, 2] == 1
+
+    def test_demoting_a_middle_component_keeps_ids_consecutive(self):
+        values = np.ones((5, 11))
+        values[0:3, 0:3] = 0.0   # component 1, kept
+        values[1, 5] = 0.0       # component 2, demoted
+        values[2:5, 8:11] = 0.0  # component 3, kept and renumbered to 2
+        field = make_field(values)
+        fake = OtsuResult(threshold=0.5, between_class_variance=1.0, histogram_bins=2)
+        markers = generate_markers(field, fake, min_seed_area=4)
+        assert markers.count == 2
+        assert markers.labels[1, 5] == 0
+        assert (markers.labels[0:3, 0:3] == 1).all()
+        assert (markers.labels[2:5, 8:11] == 2).all()
+        assert int((markers.labels > 0).sum()) == 18
 
     def test_seed_pixels_all_below_threshold(self, rng):
         field = smooth_field(rng, 20, 20)

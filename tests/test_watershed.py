@@ -1,5 +1,7 @@
 """Watershed flooding, small-region merging, region classification."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,33 @@ def random_pair(rng, h, w, n_markers):
     for i, f in enumerate(flat, start=1):
         labels[divmod(int(f), w)] = i
     return field, MarkerMap(labels)
+
+
+def random_partition(rng, h, w):
+    """Consecutively labeled grid: blocks or salt-and-pepper, maybe with 0."""
+    k = int(rng.integers(1, 9))
+    if rng.random() < 0.5:
+        raw = rng.integers(0, k + 1, size=(h, w))
+    else:
+        bh, bw = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        blocks = rng.integers(0, k + 1, size=(-(-h // bh), -(-w // bw)))
+        raw = np.repeat(np.repeat(blocks, bh, axis=0), bw, axis=1)[:h, :w]
+    if rng.random() < 0.5:
+        raw = raw + (raw == 0)
+    present = np.unique(raw)
+    present = present[present > 0]
+    remap = np.zeros(int(raw.max()) + 1, dtype=np.int32)
+    remap[present] = np.arange(1, len(present) + 1)
+    return SegmentMap(remap[raw], allow_zero=True)
+
+
+def many_region_segmentation(n, k, seed):
+    """k single-pixel markers flooded over a uniform random n x n field."""
+    rng = np.random.default_rng(seed)
+    field = make_field(rng.random((n, n)))
+    labels = np.zeros((n, n), dtype=np.int32)
+    labels.ravel()[rng.choice(n * n, size=k, replace=False)] = np.arange(1, k + 1)
+    return watershed_from_markers(field, MarkerMap(labels))
 
 
 class TestWatershed:
@@ -88,7 +117,7 @@ class TestMergeSmallRegions:
     def test_min_area_one_is_identity(self, rng):
         field, markers = random_pair(rng, 12, 12, 4)
         seg = watershed_from_markers(field, markers)
-        merged = merge_small_regions(seg, field, min_area=1)
+        merged = merge_small_regions(seg, min_area=1)
         np.testing.assert_array_equal(merged.labels, seg.labels)
 
     def test_forced_merge_into_sole_neighbour(self):
@@ -125,13 +154,41 @@ class TestMergeSmallRegions:
             field, markers = random_pair(rng, h, w, int(rng.integers(2, 7)))
             seg = watershed_from_markers(field, markers)
             min_area = int(rng.integers(2, 9))
-            merged = merge_small_regions(seg, field, min_area=min_area)
+            merged = merge_small_regions(seg, min_area=min_area)
             areas = np.bincount(merged.labels.ravel())[1:]
             if merged.count > 1:
                 assert (areas >= min_area).all()
             assert sorted(np.unique(merged.labels)) == list(range(1, merged.count + 1))
             for label in range(1, merged.count + 1):
                 assert oracles.label_is_connected(merged.labels, label)
+
+    def test_matches_rescan_oracle_on_random_partitions(self):
+        rng = np.random.default_rng(31)
+        shapes = [(1, n) for n in range(1, 13)] + [(n, 1) for n in range(1, 13)]
+        for i in range(2000):
+            h, w = shapes[i] if i < len(shapes) else rng.integers(1, 13, size=2)
+            seg = random_partition(rng, int(h), int(w))
+            if seg.count == 0:
+                continue
+            min_area = int(rng.integers(1, 41))
+            merged = merge_small_regions(seg, min_area=min_area)
+            want = oracles.rescan_merge(seg.labels, min_area)
+            np.testing.assert_array_equal(merged.labels, want, err_msg=f"case {i}")
+
+    def test_many_regions_match_oracle(self):
+        seg = many_region_segmentation(48, 150, seed=5)
+        merged = merge_small_regions(seg, min_area=30)
+        assert merged.count < seg.count
+        np.testing.assert_array_equal(merged.labels, oracles.rescan_merge(seg.labels, 30))
+
+    def test_many_regions_merge_scales(self):
+        seg = many_region_segmentation(256, 3600, seed=7)
+        start = time.perf_counter()
+        merged = merge_small_regions(seg, min_area=30)
+        elapsed = time.perf_counter() - start
+        assert seg.count == 3600 and merged.count < seg.count
+        assert np.bincount(merged.labels.ravel())[1:].min() >= 30
+        assert elapsed < 5.0, f"merge of 3,600 regions took {elapsed:.2f} s"
 
     def test_zero_background_is_untouchable(self):
         labels = np.zeros((5, 7), dtype=int)
