@@ -23,7 +23,6 @@ from .formats import (
 )
 from .morphology import (
     GradientConfig,
-    GradientField,
     dilate,
     erode,
     morphological_gradient,

@@ -18,12 +18,11 @@ from .watershed import merge_small_regions
 class CcsConfig:
     """Threshold schedule and cleanup size for the region growing.
 
-    threshold_levels must ascend and end at max_threshold; max_threshold
-    defaults to the last level.
+    threshold_levels must strictly ascend; the last level is the hard cap
+    above which no pixel is ever claimed.
     """
 
     threshold_levels: tuple = (220.0, 235.0, 253.0)
-    max_threshold: float = None
     min_area: int = 50
 
     def __post_init__(self):
@@ -32,13 +31,9 @@ class CcsConfig:
             raise ValueError("need at least one threshold level")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError(f"threshold levels must be strictly ascending: {levels}")
-        cap = levels[-1] if self.max_threshold is None else float(self.max_threshold)
-        if cap != levels[-1]:
-            raise ValueError(f"last level {levels[-1]} must equal max_threshold {cap}")
         if self.min_area < 1:
             raise ValueError(f"min_area must be positive, got {self.min_area}")
         object.__setattr__(self, "threshold_levels", levels)
-        object.__setattr__(self, "max_threshold", cap)
         object.__setattr__(self, "min_area", int(self.min_area))
 
 

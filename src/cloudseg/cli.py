@@ -24,7 +24,7 @@ from .formats import (
 )
 from .markers import ConstantFieldError, NoSeedRegionsError, generate_markers, otsu_threshold
 from .morphology import GradientConfig, multispectral_gradient
-from .raster import MultiChannelImage, Raster2D, Units
+from .raster import MultiChannelImage
 from .synth import PRESETS, generate_scene, make_preset, read_scene_spec
 from .verification import contingency, derive_truth_mask, verify
 from .watershed import EmptyMarkerMapError, classify_regions, merge_small_regions, watershed_from_markers
@@ -168,8 +168,7 @@ def _fused_gradient(args):
 
 def _cmd_gradient(args) -> int:
     _, field = _fused_gradient(args)
-    out = MultiChannelImage((("gradient", Raster2D(field.values, Units.DIMENSIONLESS)),))
-    write_raster_file(out, args.output)
+    write_raster_file(MultiChannelImage((("gradient", field),)), args.output)
     return EXIT_OK
 
 
@@ -214,7 +213,7 @@ def _cmd_evaluate(args) -> int:
     truth = read_cloud_mask(args.truth)
     report = verify(contingency(prediction, truth))
     with open(args.output, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2)
+        json.dump(dataclasses.asdict(report), fh, indent=2)
         fh.write("\n")
     return EXIT_OK
 

@@ -35,6 +35,7 @@ Multi-channel imagery encodes as f32 (dtype 1), cloud masks as u8
 (dtype 2, one byte 0/1 per pixel), segment maps as u32 (dtype 3).
 """
 
+import functools
 import struct
 
 import numpy as np
@@ -48,6 +49,7 @@ VERSION = 1
 DTYPE_F32 = 1
 DTYPE_U8 = 2
 DTYPE_U32 = 3
+_NP_DTYPES = {DTYPE_F32: "<f4", DTYPE_U8: "u1", DTYPE_U32: "<u4"}
 
 _ID_BYTES = 16
 # Hard cap on total payload elements; headers promising more are rejected
@@ -80,14 +82,14 @@ def encode_raster_file(payload) -> bytes:
     if isinstance(payload, MultiChannelImage):
         head = _raster_header(DTYPE_F32, payload.width, payload.height, len(payload.channels))
         ids = b"".join(_pack_id(cid) for cid, _ in payload.channels)
-        body = b"".join(r.values.astype("<f4").tobytes() for _, r in payload.channels)
+        body = b"".join(r.values.astype(_NP_DTYPES[DTYPE_F32]).tobytes() for _, r in payload.channels)
         return head + ids + body
     if isinstance(payload, SegmentMap):
         head = _raster_header(DTYPE_U32, payload.width, payload.height, 1)
-        return head + _pack_id("labels") + payload.labels.astype("<u4").tobytes()
+        return head + _pack_id("labels") + payload.labels.astype(_NP_DTYPES[DTYPE_U32]).tobytes()
     if isinstance(payload, CloudMask):
         head = _raster_header(DTYPE_U8, payload.width, payload.height, 1)
-        return head + _pack_id("mask") + payload.flags.astype(np.uint8).tobytes()
+        return head + _pack_id("mask") + payload.flags.astype(_NP_DTYPES[DTYPE_U8]).tobytes()
     raise TypeError(f"cannot encode {type(payload).__name__} as GMS1")
 
 
@@ -105,7 +107,7 @@ def encode_volume_file(vol: HydrometeorVolume) -> bytes:
     ids = b"".join(_pack_id(s) for s in vol.species)
     # payload is level-major: for each level, one plane per species
     planes = vol.values.transpose(1, 0, 2, 3)
-    return head + ids + np.ascontiguousarray(planes).astype("<f4").tobytes()
+    return head + ids + np.ascontiguousarray(planes).astype(_NP_DTYPES[DTYPE_F32]).tobytes()
 
 
 def write_volume_file(vol: HydrometeorVolume, path) -> None:
@@ -147,106 +149,100 @@ def _check_dims(*dims):
     return total
 
 
-def _decode_raster(data: bytes):
-    """Parse GMS1 bytes into (dtype_code, channel ids, list of 2D arrays)."""
-    magic, off = _take(data, 0, 4, "magic")
-    if magic != MAGIC_RASTER:
-        raise FormatError(f"bad magic {magic!r}, expected {MAGIC_RASTER!r}")
-    fixed, off = _take(data, off, 16, "header")
-    version, dtype_code, reserved, width, height, count = struct.unpack("<BBHIII", fixed)
+def _read(path, magic: bytes, dtype_code: int, what: str):
+    """Read and check a GMS1 or GMSV file that must hold `what` (e.g.
+    "a u8 mask") data. Returns (header dims, ids, flat payload); the last
+    dim counts the ids (channels or species)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    head, off = _take(data, 0, 4, "magic")
+    if head != magic:
+        raise FormatError(f"bad magic {head!r}, expected {magic!r}")
+    ndims = 4 if magic == MAGIC_VOLUME else 3
+    fixed, off = _take(data, off, 4 + 4 * ndims, "header")
+    version, code, reserved, *dims = struct.unpack("<BBH" + "I" * ndims, fixed)
     if version != VERSION:
         raise FormatError(f"unsupported version {version}")
-    if dtype_code not in (DTYPE_F32, DTYPE_U8, DTYPE_U32):
-        raise FormatError(f"unknown dtype code {dtype_code}")
+    if code not in _NP_DTYPES:
+        raise FormatError(f"unknown dtype code {code}")
+    if code != dtype_code:
+        raise FormatError(f"dtype code {code} is not {what} file")
     if reserved != 0:
         raise FormatError(f"reserved field must be 0, got {reserved}")
-    total = _check_dims(width, height, count)
-    ids, off = _unpack_ids(data, off, count)
-    itemsize = {DTYPE_F32: 4, DTYPE_U8: 1, DTYPE_U32: 4}[dtype_code]
-    body, off = _take(data, off, total * itemsize, "payload")
+    total = _check_dims(*dims)
+    ids, off = _unpack_ids(data, off, dims[-1])
+    np_dtype = np.dtype(_NP_DTYPES[code])
+    body, off = _take(data, off, total * np_dtype.itemsize, "payload")
     if off != len(data):
         raise FormatError(f"trailing data: {len(data) - off} unexpected bytes")
-    np_dtype = {DTYPE_F32: "<f4", DTYPE_U8: "u1", DTYPE_U32: "<u4"}[dtype_code]
-    flat = np.frombuffer(body, dtype=np_dtype)
-    planes = [flat[i * width * height : (i + 1) * width * height].reshape(height, width) for i in range(count)]
-    return dtype_code, ids, planes
+    return dims, ids, np.frombuffer(body, dtype=np_dtype)
 
 
+def _reader(read):
+    """Report every invalid file as FormatError: the containers' own
+    ValueErrors (duplicate ids, unknown species, label gaps...) included."""
+    @functools.wraps(read)
+    def checked(path, *args, **kwargs):
+        try:
+            return read(path, *args, **kwargs)
+        except FormatError:
+            raise
+        except ValueError as exc:
+            raise FormatError(f"invalid contents: {exc}") from exc
+    return checked
+
+
+def _read_gms1(path, dtype_code: int, what: str, channel_id=None):
+    """GMS1 channel ids and (channels, height, width) planes; with
+    channel_id, exactly one channel of that id."""
+    (width, height, count), ids, flat = _read(path, MAGIC_RASTER, dtype_code, what)
+    if channel_id is not None:
+        if count != 1:
+            raise FormatError(f"{what} file must hold one channel, found {count}")
+        if ids[0] != channel_id:
+            raise FormatError(f"{what} file's channel id must be {channel_id!r}, got {ids[0]!r}")
+    return ids, flat.reshape(count, height, width)
+
+
+@_reader
 def read_raster_file(path, units: Units = Units.KELVIN) -> MultiChannelImage:
     """Read a GMS1 multi-channel (f32) raster file.
 
     The container does not record units, so the caller states what the
     values are; scenes default to kelvin, gradient files are dimensionless.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    dtype_code, ids, planes = _decode_raster(data)
-    if dtype_code != DTYPE_F32:
-        raise FormatError(f"dtype code {dtype_code} is not an f32 image file")
+    ids, planes = _read_gms1(path, DTYPE_F32, "an f32 image")
     channels = []
     for cid, plane in zip(ids, planes):
-        values = plane.astype(np.float64)
-        if not np.all(np.isfinite(values)):
+        if not np.all(np.isfinite(plane)):
             raise FormatError(f"non-finite payload values in channel {cid!r}")
-        channels.append((cid, Raster2D(values, units)))
+        channels.append((cid, Raster2D(plane, units)))
     return MultiChannelImage(tuple(channels))
 
 
+@_reader
 def read_segment_map(path) -> SegmentMap:
     """Read a GMS1 u32 label file as a SegmentMap (0 = clear allowed)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    dtype_code, _, planes = _decode_raster(data)
-    if dtype_code != DTYPE_U32:
-        raise FormatError(f"dtype code {dtype_code} is not a u32 segment file")
-    if len(planes) != 1:
-        raise FormatError(f"segment file must hold one channel, found {len(planes)}")
-    labels = planes[0].astype(np.int64)
+    _, (labels,) = _read_gms1(path, DTYPE_U32, "a u32 segment", "labels")
     if labels.max() >= _MAX_ELEMENTS:
         raise FormatError("label value overflow")
-    try:
-        return SegmentMap(labels.astype(np.int32), allow_zero=True)
-    except ValueError as exc:
-        raise FormatError(f"invalid segment labels: {exc}") from exc
+    return SegmentMap(labels.astype(np.int32), allow_zero=True)
 
 
+@_reader
 def read_cloud_mask(path) -> CloudMask:
     """Read a GMS1 u8 mask file."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    dtype_code, _, planes = _decode_raster(data)
-    if dtype_code != DTYPE_U8:
-        raise FormatError(f"dtype code {dtype_code} is not a u8 mask file")
-    if len(planes) != 1:
-        raise FormatError(f"mask file must hold one channel, found {len(planes)}")
-    plane = planes[0]
+    _, (plane,) = _read_gms1(path, DTYPE_U8, "a u8 mask", "mask")
     if not np.isin(plane, (0, 1)).all():
         raise FormatError("mask payload bytes must be 0 or 1")
     return CloudMask(plane.astype(bool))
 
 
+@_reader
 def read_volume_file(path) -> HydrometeorVolume:
     """Read a GMSV hydrometeor volume file."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    magic, off = _take(data, 0, 4, "magic")
-    if magic != MAGIC_VOLUME:
-        raise FormatError(f"bad magic {magic!r}, expected {MAGIC_VOLUME!r}")
-    fixed, off = _take(data, off, 20, "header")
-    version, dtype_code, reserved, width, height, levels, nspecies = struct.unpack("<BBHIIII", fixed)
-    if version != VERSION:
-        raise FormatError(f"unsupported version {version}")
-    if dtype_code != DTYPE_F32:
-        raise FormatError(f"unknown dtype code {dtype_code} for volume")
-    if reserved != 0:
-        raise FormatError(f"reserved field must be 0, got {reserved}")
-    total = _check_dims(width, height, levels, nspecies)
-    species, off = _unpack_ids(data, off, nspecies)
-    body, off = _take(data, off, total * 4, "payload")
-    if off != len(data):
-        raise FormatError(f"trailing data: {len(data) - off} unexpected bytes")
-    planes = np.frombuffer(body, dtype="<f4").reshape(levels, nspecies, height, width)
-    values = planes.transpose(1, 0, 2, 3).astype(np.float64)
-    if not np.all(np.isfinite(values)):
+    (width, height, levels, nspecies), species, flat = _read(path, MAGIC_VOLUME, DTYPE_F32, "an f32 volume")
+    planes = flat.reshape(levels, nspecies, height, width)
+    if not np.all(np.isfinite(planes)):
         raise FormatError("non-finite payload values in volume")
-    return HydrometeorVolume(tuple(species), values)
+    return HydrometeorVolume(tuple(species), planes.transpose(1, 0, 2, 3).astype(np.float64))

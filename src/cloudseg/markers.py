@@ -12,8 +12,7 @@ import numpy as np
 from scipy import ndimage
 
 from .flood import _EIGHT
-from .morphology import GradientField
-from .raster import MarkerMap
+from .raster import MarkerMap, Raster2D
 
 
 class ConstantFieldError(ValueError):
@@ -33,7 +32,7 @@ class OtsuResult:
     histogram_bins: int
 
 
-def otsu_threshold(field: GradientField, bins: int = 256) -> OtsuResult:
+def otsu_threshold(field: Raster2D, bins: int = 256) -> OtsuResult:
     """Pick the histogram bin edge maximizing between-class variance.
 
     A `bins`-bin histogram is built over [min, max]; every interior bin
@@ -80,7 +79,7 @@ def label_components(mask: np.ndarray) -> np.ndarray:
     return ndimage.label(mask, structure=_EIGHT)[0]
 
 
-def generate_markers(field: GradientField, otsu: OtsuResult, min_seed_area: int = 8) -> MarkerMap:
+def generate_markers(field: Raster2D, otsu: OtsuResult, min_seed_area: int = 8) -> MarkerMap:
     """Label low-gradient seed components, dropping the tiny ones.
 
     Pixels with value <= otsu.threshold are seed pixels; 8-connected seed

@@ -4,6 +4,9 @@ Windows are clipped to the image domain, which for a flat structuring
 element is the same thing as replicate padding; the fast path therefore
 runs on scipy's separable min/max filters with mode="nearest". The test
 suite holds these equal, exactly, to a naive clipped-window scan.
+
+Every gradient is a dimensionless Raster2D, non-negative by construction:
+dilation minus erosion is >= 0, and so is an erosion of it.
 """
 
 from dataclasses import dataclass
@@ -32,35 +35,6 @@ class GradientConfig:
         object.__setattr__(self, "n_scales", int(self.n_scales))
 
 
-@dataclass(frozen=True)
-class GradientField:
-    """Non-negative, dimensionless gradient-magnitude raster."""
-
-    raster: Raster2D
-
-    def __post_init__(self):
-        if self.raster.units is not Units.DIMENSIONLESS:
-            raise ValueError("gradient fields are dimensionless")
-        if self.raster.values.min() < 0:
-            raise ValueError("gradient magnitudes must be non-negative")
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.raster.values
-
-    @property
-    def height(self) -> int:
-        return self.raster.height
-
-    @property
-    def width(self) -> int:
-        return self.raster.width
-
-    @property
-    def shape(self) -> tuple:
-        return self.raster.shape
-
-
 def _window_max(values: np.ndarray, radius: int) -> np.ndarray:
     if radius == 0:
         return values.copy()
@@ -83,7 +57,7 @@ def erode(f: Raster2D, se: StructuringElement) -> Raster2D:
     return Raster2D(_window_min(f.values, se.radius), f.units)
 
 
-def morphological_gradient(f: Raster2D, se: StructuringElement) -> GradientField:
+def morphological_gradient(f: Raster2D, se: StructuringElement) -> Raster2D:
     """Single-scale gradient, dilation minus erosion.
 
     Radius 0 is rejected: the single-pixel element makes the difference
@@ -92,7 +66,7 @@ def morphological_gradient(f: Raster2D, se: StructuringElement) -> GradientField
     if se.radius < 1:
         raise ValueError("morphological gradient needs radius >= 1")
     diff = _window_max(f.values, se.radius) - _window_min(f.values, se.radius)
-    return GradientField(Raster2D(diff, Units.DIMENSIONLESS))
+    return Raster2D(diff, Units.DIMENSIONLESS)
 
 
 def _multiscale(values: np.ndarray, n_scales: int) -> np.ndarray:
@@ -103,13 +77,13 @@ def _multiscale(values: np.ndarray, n_scales: int) -> np.ndarray:
     return acc / n_scales
 
 
-def multiscale_gradient(f: Raster2D, cfg: GradientConfig = GradientConfig()) -> GradientField:
+def multiscale_gradient(f: Raster2D, cfg: GradientConfig = GradientConfig()) -> Raster2D:
     """Mean over scales i=1..n of the scale-i gradient eroded by the
     scale-(i-1) element; the i=1 term is the plain single-scale gradient."""
-    return GradientField(Raster2D(_multiscale(f.values, cfg.n_scales), Units.DIMENSIONLESS))
+    return Raster2D(_multiscale(f.values, cfg.n_scales), Units.DIMENSIONLESS)
 
 
-def multispectral_gradient(img: MultiChannelImage, cfg: GradientConfig = GradientConfig()) -> GradientField:
+def multispectral_gradient(img: MultiChannelImage, cfg: GradientConfig = GradientConfig()) -> Raster2D:
     """Per-channel multi-scale gradients summed into one field.
 
     The sum runs in channel order. With cfg.normalize_channels each
@@ -124,4 +98,4 @@ def multispectral_gradient(img: MultiChannelImage, cfg: GradientConfig = Gradien
             if peak > 0:
                 field = field / peak
         acc = field if acc is None else acc + field
-    return GradientField(Raster2D(acc, Units.DIMENSIONLESS))
+    return Raster2D(acc, Units.DIMENSIONLESS)

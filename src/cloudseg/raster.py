@@ -143,10 +143,17 @@ def _validate_labels(labels, kind, allow_zero, require_full):
     if not allow_zero and k >= 1 and (lab == 0).any():
         raise ValueError(f"{kind} must assign a positive label to every pixel")
     if k >= 1:
-        present = np.bincount(lab.ravel(), minlength=k + 1)[1:]
-        if (present == 0).any():
-            missing = (np.flatnonzero(present == 0) + 1).tolist()
-            raise ValueError(f"{kind} labels must be consecutive 1..K, missing {missing}")
+        if k <= lab.size:
+            seen = np.flatnonzero(np.bincount(lab.ravel(), minlength=k + 1))
+        else:  # cannot be consecutive, and k may be huge: no array of size k
+            seen = np.unique(lab)
+        seen = seen[seen > 0]
+        if seen.size < k:
+            # the first 10 absent labels all lie in 1..seen.size + 10
+            upto = np.arange(1, min(k, seen.size + 10) + 1)
+            missing = upto[~np.isin(upto, seen)][:10].tolist()
+            more = f" and {k - seen.size - 10} more" if k - seen.size > 10 else ""
+            raise ValueError(f"{kind} labels must be consecutive 1..K, missing {missing}{more}")
     return lab, k
 
 

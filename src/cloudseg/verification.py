@@ -66,7 +66,8 @@ class VerificationReport:
 
     far is false alarms over not-observed events, implemented verbatim
     from its table definition; far_conventional is the textbook
-    FP/(TP+FP) ratio, carried alongside for comparability.
+    FP/(TP+FP) ratio, carried alongside for comparability. The evaluate
+    JSON report is ``dataclasses.asdict`` of this, keys in field order.
     """
 
     pod: Optional[float]
@@ -79,20 +80,6 @@ class VerificationReport:
     misses: int
     false_alarms: int
     correct_negatives: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pod": self.pod,
-            "far": self.far,
-            "far_conventional": self.far_conventional,
-            "undetected_error_rate": self.undetected_error_rate,
-            "bias": self.bias,
-            "ets": self.ets,
-            "hits": self.hits,
-            "misses": self.misses,
-            "false_alarms": self.false_alarms,
-            "correct_negatives": self.correct_negatives,
-        }
 
 
 def verify(table: ContingencyTable) -> VerificationReport:

@@ -8,7 +8,6 @@ from typing import Optional
 import numpy as np
 
 from .flood import priority_flood, seed_order
-from .morphology import GradientField
 from .raster import CloudMask, MarkerMap, Raster2D, SegmentMap
 
 
@@ -28,7 +27,7 @@ class RegionStats:
     is_cloud: bool
 
 
-def watershed_from_markers(field: GradientField, markers: MarkerMap) -> SegmentMap:
+def watershed_from_markers(field: Raster2D, markers: MarkerMap) -> SegmentMap:
     """Flood the gradient surface from the marker components.
 
     Each marker keeps its label; every pixel ends up in exactly one of the
@@ -151,7 +150,7 @@ def merge_small_regions(seg: SegmentMap, min_area: int = 1) -> SegmentMap:
 
 
 def classify_regions(seg: SegmentMap, bt: Raster2D, clear_sky_cutoff: float = 280.0,
-                     gradient: Optional[GradientField] = None):
+                     gradient: Optional[Raster2D] = None):
     """Split segments into cloud and clear by mean brightness temperature.
 
     A region is cloud iff its mean BT is strictly below clear_sky_cutoff.

@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
-from cloudseg import GradientField, Raster2D, Units
+from cloudseg import Raster2D, Units
 
 
 def make_bt(values) -> Raster2D:
     return Raster2D(np.asarray(values, dtype=float), Units.KELVIN)
 
 
-def make_field(values) -> GradientField:
-    return GradientField(Raster2D(np.abs(np.asarray(values, dtype=float)), Units.DIMENSIONLESS))
+def make_field(values) -> Raster2D:
+    return Raster2D(np.abs(np.asarray(values, dtype=float)), Units.DIMENSIONLESS)
 
 
-def smooth_field(rng, h, w, scale=12.0) -> GradientField:
+def smooth_field(rng, h, w, scale=12.0) -> Raster2D:
     """Random non-negative field with some spatial structure."""
     from scipy.ndimage import gaussian_filter
 

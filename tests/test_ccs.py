@@ -14,16 +14,12 @@ class TestConfig:
     def test_defaults(self):
         cfg = CcsConfig()
         assert cfg.threshold_levels == (220.0, 235.0, 253.0)
-        assert cfg.max_threshold == 253.0
+        assert cfg.threshold_levels[-1] == 253.0
         assert cfg.min_area == 50
 
     def test_rejects_descending_levels(self):
         with pytest.raises(ValueError, match="ascending"):
             CcsConfig(threshold_levels=(235.0, 220.0))
-
-    def test_rejects_cap_mismatch(self):
-        with pytest.raises(ValueError, match="max_threshold"):
-            CcsConfig(threshold_levels=(220.0, 253.0), max_threshold=260.0)
 
     def test_rejects_empty_levels(self):
         with pytest.raises(ValueError, match="at least one"):

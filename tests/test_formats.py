@@ -1,10 +1,16 @@
-"""GMS1/GMSV codec: golden bytes, round trips, distinct failure modes."""
+"""GMS1/GMSV codec: golden bytes, round trips, distinct failure modes,
+and the decode contract: round trip or FormatError, nothing else."""
 
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import cloudseg
 from cloudseg import (
     CloudMask,
     FormatError,
@@ -29,6 +35,18 @@ def one_channel(values, cid="ir_window"):
 
 def header(dtype, width, height, count):
     return b"GMS1" + struct.pack("<BBHIII", 1, dtype, 0, width, height, count)
+
+
+def volume_header(width, height, levels, nspecies):
+    return b"GMSV" + struct.pack("<BBHIIII", 1, 1, 0, width, height, levels, nspecies)
+
+
+def ids(*names):
+    return b"".join(name.encode("ascii").ljust(16, b"\0") for name in names)
+
+
+def f32(*values):
+    return np.array(values, "<f4").tobytes()
 
 
 class TestGoldenBytes:
@@ -197,3 +215,102 @@ class TestDistinctErrors:
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):
             write_raster_file(one_channel([[1.0]]), tmp_path / "missing_dir" / "x.gms1")
+
+
+class TestContainerErrors:
+    """Well-framed files whose contents the containers reject still raise
+    FormatError (a ValueError, so CLI exit codes are unchanged)."""
+
+    @pytest.mark.parametrize("reader, data, match", [
+        (read_raster_file, header(1, 1, 1, 2) + ids("ir", "ir") + f32(1.0, 2.0), "duplicate"),
+        (read_raster_file, header(1, 1, 1, 1) + bytes(16) + f32(1.0), "channel id"),
+        (read_volume_file, volume_header(1, 1, 1, 1) + ids("hail") + f32(0.0), "unknown species"),
+        (read_volume_file, volume_header(1, 1, 1, 2) + ids("rain", "rain") + f32(0.0, 0.0), "duplicate"),
+        (read_volume_file, volume_header(1, 1, 1, 1) + ids("rain") + f32(-1.0), "non-negative"),
+        (read_cloud_mask, header(2, 1, 1, 1) + ids("labels") + b"\x01", "channel id must be 'mask'"),
+        (read_segment_map, header(3, 1, 1, 1) + ids("mask") + bytes(4), "channel id must be 'labels'"),
+    ], ids=["dup-channel", "empty-channel-id", "unknown-species", "dup-species", "negative-ratio",
+            "mask-id", "segment-id"])
+    def test_raises_format_error(self, tmp_path, reader, data, match):
+        p = tmp_path / "bad"
+        p.write_bytes(data)
+        with pytest.raises(FormatError, match=match):
+            reader(p)
+
+    def test_huge_label_is_not_allocated(self, tmp_path):
+        """44 bytes, 2 pixels, one label 2e9: counting labels up to K would
+        need ~15 GiB. Read in a child capped at 1 GiB of address space so a
+        regression fails the test instead of exhausting memory."""
+        p = tmp_path / "huge.gms1"
+        data = header(3, 2, 1, 1) + ids("labels") + np.array([1, 2_000_000_000], "<u4").tobytes()
+        assert len(data) == 44
+        p.write_bytes(data)
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+            "from cloudseg import FormatError, read_segment_map\n"
+            "try:\n    read_segment_map(sys.argv[1])\n"
+            "except FormatError as exc:\n    print('FormatError:', exc)\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(cloudseg.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code, str(p)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("FormatError:"), proc.stdout
+        assert "missing [2, 3, 4, 5, 6, 7, 8, 9, 10, 11] and 1999999988 more" in proc.stdout
+
+
+def _valid_files():
+    rng = np.random.default_rng(11)
+    bt = rng.normal(260.0, 20.0, size=(2, 3)).astype(np.float32)
+    image = MultiChannelImage((("ir", Raster2D(bt, Units.KELVIN)), ("wv", Raster2D(-bt, Units.KELVIN))))
+    mask = CloudMask(rng.random((3, 2)) > 0.5)
+    seg = SegmentMap(np.array([[1, 1, 2], [3, 0, 2]]), allow_zero=True)
+    vol = HydrometeorVolume(("rain", "snow"), (rng.random((2, 2, 1, 2)) * 1e-5).astype(np.float32))
+    return [encode_raster_file(image), encode_raster_file(mask), encode_raster_file(seg),
+            encode_volume_file(vol)]
+
+
+_VALID = _valid_files()
+
+
+@st.composite
+def mutated_files(draw):
+    """A valid GMS1/GMSV file with 1-3 bytes replaced, deleted or inserted."""
+    data = bytearray(draw(st.sampled_from(_VALID)))
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(("replace", "delete", "insert")))
+        at = draw(st.integers(0, len(data) - (edit != "insert")))
+        if edit == "delete":
+            del data[at]
+        elif edit == "replace":
+            data[at] = draw(st.integers(0, 255))
+        else:
+            data.insert(at, draw(st.integers(0, 255)))
+    return bytes(data)
+
+
+arbitrary_files = st.builds(lambda magic, rest: magic + rest,
+                            st.sampled_from((b"", b"GMS1", b"GMSV")), st.binary(max_size=80))
+
+_READERS = (
+    (read_raster_file, encode_raster_file),
+    (read_cloud_mask, encode_raster_file),
+    (read_segment_map, encode_raster_file),
+    (read_volume_file, encode_volume_file),
+)
+
+
+# tmp_path is shared by the examples on purpose: each one rewrites the file
+@settings(max_examples=1500, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.one_of(mutated_files(), arbitrary_files))
+def test_decode_round_trips_or_raises_format_error(tmp_path, data):
+    p = tmp_path / "fuzz"
+    p.write_bytes(data)
+    for read, encode in _READERS:
+        try:
+            decoded = read(p)
+        except FormatError:
+            continue
+        assert encode(decoded) == data, read.__name__

@@ -1,5 +1,7 @@
 """Truth mask derivation and the categorical scores."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -156,10 +158,10 @@ class TestVerify:
             verify(ContingencyTable(0, 0, 0, 0))
 
     def test_json_schema(self):
-        d = verify(ContingencyTable(40, 10, 5, 45)).to_json_dict()
+        d = dataclasses.asdict(verify(ContingencyTable(40, 10, 5, 45)))
         assert list(d) == ["pod", "far", "far_conventional", "undetected_error_rate",
                            "bias", "ets", "hits", "misses", "false_alarms", "correct_negatives"]
-        none_d = verify(ContingencyTable(0, 0, 0, 10)).to_json_dict()
+        none_d = dataclasses.asdict(verify(ContingencyTable(0, 0, 0, 10)))
         import json
         assert json.loads(json.dumps(none_d))["pod"] is None
 
