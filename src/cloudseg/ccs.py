@@ -60,7 +60,7 @@ def ccs_segment(bt: Raster2D, cfg: CcsConfig = CcsConfig()) -> SegmentMap:
         eligible = (labels == 0) & (values <= level)
         seeds = seed_order(labels, eligible)
         if seeds:
-            labels = priority_flood(values, labels, seeds, limit=level)
+            labels = priority_flood(values, labels, seeds, eligible)
     seg = SegmentMap(labels, allow_zero=True)
     if seg.count:
         seg = merge_small_regions(seg, min_area=cfg.min_area)

@@ -172,10 +172,13 @@ def _read(path, magic: bytes, dtype_code: int, what: str):
     total = _check_dims(*dims)
     ids, off = _unpack_ids(data, off, dims[-1])
     np_dtype = np.dtype(_NP_DTYPES[code])
-    body, off = _take(data, off, total * np_dtype.itemsize, "payload")
-    if off != len(data):
-        raise FormatError(f"trailing data: {len(data) - off} unexpected bytes")
-    return dims, ids, np.frombuffer(body, dtype=np_dtype)
+    size = total * np_dtype.itemsize
+    if off + size > len(data):
+        raise FormatError(f"truncated payload: need {size} bytes for payload at offset {off}")
+    if off + size != len(data):
+        raise FormatError(f"trailing data: {len(data) - off - size} unexpected bytes")
+    # a read-only view of the file bytes, not a copy of the payload
+    return dims, ids, np.frombuffer(data, dtype=np_dtype, count=total, offset=off)
 
 
 def _reader(read):
@@ -224,9 +227,7 @@ def read_raster_file(path, units: Units = Units.KELVIN) -> MultiChannelImage:
 def read_segment_map(path) -> SegmentMap:
     """Read a GMS1 u32 label file as a SegmentMap (0 = clear allowed)."""
     _, (labels,) = _read_gms1(path, DTYPE_U32, "a u32 segment", "labels")
-    if labels.max() >= _MAX_ELEMENTS:
-        raise FormatError("label value overflow")
-    return SegmentMap(labels.astype(np.int32), allow_zero=True)
+    return SegmentMap(labels, allow_zero=True)
 
 
 @_reader
@@ -245,4 +246,6 @@ def read_volume_file(path) -> HydrometeorVolume:
     planes = flat.reshape(levels, nspecies, height, width)
     if not np.all(np.isfinite(planes)):
         raise FormatError("non-finite payload values in volume")
-    return HydrometeorVolume(tuple(species), planes.transpose(1, 0, 2, 3).astype(np.float64))
+    # one float64 copy, already contiguous, so the container keeps it as is
+    values = np.ascontiguousarray(planes.transpose(1, 0, 2, 3), dtype=np.float64)
+    return HydrometeorVolume(tuple(species), values)

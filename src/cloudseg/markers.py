@@ -97,14 +97,13 @@ def generate_markers(field: Raster2D, otsu: OtsuResult, min_seed_area: int = 8) 
     count = int(labels.max())
     if count == 0:
         raise NoSeedRegionsError("no pixel falls at or below the threshold")
-    if min_seed_area > 1:
-        keep = np.bincount(labels.ravel(), minlength=count + 1) >= min_seed_area
-        keep[0] = False
-        if not keep.any():
-            raise NoSeedRegionsError(
-                f"all {count} seed components are smaller than min_seed_area="
-                f"{min_seed_area}; use a smaller value"
-            )
-        # dropping whole components joins no others: renumber survivors in order
-        labels = (np.cumsum(keep, dtype=np.int32) * keep)[labels]
+    keep = np.bincount(labels.ravel(), minlength=count + 1) >= min_seed_area
+    keep[0] = False
+    if not keep.any():
+        raise NoSeedRegionsError(
+            f"all {count} seed components are smaller than min_seed_area="
+            f"{min_seed_area}; use a smaller value"
+        )
+    # dropping whole components joins no others: renumber survivors in order
+    labels = (np.cumsum(keep, dtype=np.int32) * keep)[labels]
     return MarkerMap(labels)

@@ -36,14 +36,10 @@ class GradientConfig:
 
 
 def _window_max(values: np.ndarray, radius: int) -> np.ndarray:
-    if radius == 0:
-        return values.copy()
     return ndimage.maximum_filter(values, size=2 * radius + 1, mode="nearest")
 
 
 def _window_min(values: np.ndarray, radius: int) -> np.ndarray:
-    if radius == 0:
-        return values.copy()
     return ndimage.minimum_filter(values, size=2 * radius + 1, mode="nearest")
 
 

@@ -1,8 +1,11 @@
 """Core raster containers shared by every stage of the pipeline.
 
-All types are immutable after construction (arrays are copied and marked
-read-only), so instances can be shared freely across threads. Constructors
-validate invariants loudly; nothing is clamped or masked silently.
+All types are immutable after construction: arrays are stored contiguous
+and read-only, so instances can be shared freely across threads.
+Raster2D, CloudMask and HydrometeorVolume keep an input array that
+already has the stored dtype and layout, which leaves the caller's array
+read-only too. Constructors validate invariants loudly; nothing is
+clamped or masked silently.
 """
 
 from dataclasses import dataclass, field
@@ -134,9 +137,9 @@ def _validate_labels(labels, kind, allow_zero, require_full):
         raise ValueError(f"{kind} expects a 2D label array, got ndim={lab.ndim}")
     if not np.issubdtype(lab.dtype, np.integer):
         raise ValueError(f"{kind} labels must be integers, got {lab.dtype}")
+    if lab.min() < 0 or lab.max() > np.iinfo(np.int32).max:  # before the cast can wrap
+        raise ValueError(f"{kind} labels must be non-negative int32 values")
     lab = lab.astype(np.int32)
-    if lab.min() < 0:
-        raise ValueError(f"{kind} labels must be non-negative")
     k = int(lab.max())
     if require_full and k < 1:
         raise ValueError(f"{kind} must contain at least one positive label")

@@ -38,7 +38,6 @@ MIXING_RATIO_FLOOR = 1e-6         # kg/kg; peaks must clear this for the truth r
 WV_OFFSET_K = 10.0
 WV_DAMPING = 0.6
 WV_SMOOTH_SIGMA = 2.0
-VOLUME_LEVELS = 5
 _VERTICAL_WEIGHTS = (0.0, 0.5, 1.0, 0.5, 0.0)   # triangular, peaked mid-column
 _WARM_SPLIT = {"cloud_water": 0.6, "rain": 0.4}
 _COLD_SPLIT = {"cloud_ice": 0.5, "snow": 0.3, "graupel": 0.2}
@@ -141,7 +140,7 @@ def generate_scene(spec: SceneSpec):
     h, w = spec.height, spec.width
     bg = spec.background_bt
     depression = np.zeros((h, w))
-    volume = np.zeros((len(HYDROMETEOR_SPECIES), VOLUME_LEVELS, h, w))
+    plume = np.zeros((len(HYDROMETEOR_SPECIES), h, w))  # column peak per species
     species_index = {name: i for i, name in enumerate(HYDROMETEOR_SPECIES)}
 
     for cloud in spec.clouds:
@@ -156,13 +155,11 @@ def generate_scene(spec: SceneSpec):
         local = depth * np.exp(-dist2 / (2.0 * cloud.radius_px ** 2))
         depression[r0:r1, c0:c1] += local
         support = local > TRUTH_DEPRESSION_K
-        if support.any():
-            split = _WARM_SPLIT if cloud.min_bt > _COLD_TOP_BT else _COLD_SPLIT
-            for name, fraction in split.items():
-                s = species_index[name]
-                for level, weight in enumerate(_VERTICAL_WEIGHTS):
-                    if weight:
-                        volume[s, level, r0:r1, c0:c1][support] += cloud.hydrometeor_peak * fraction * weight
+        split = _WARM_SPLIT if cloud.min_bt > _COLD_TOP_BT else _COLD_SPLIT
+        for name, fraction in split.items():
+            plume[species_index[name], r0:r1, c0:c1][support] += cloud.hydrometeor_peak * fraction
+    # the weights are 0, 1/2 and 1, so scaling the summed plume is exact
+    volume = plume[:, None] * np.array(_VERTICAL_WEIGHTS)[:, None, None]
 
     ir = bg - depression
     if spec.noise_sigma > 0:

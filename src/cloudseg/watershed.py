@@ -41,8 +41,9 @@ def watershed_from_markers(field: Raster2D, markers: MarkerMap) -> SegmentMap:
         raise ValueError(f"shape mismatch: field {field.shape} vs markers {markers.shape}")
     if markers.count < 1:
         raise EmptyMarkerMapError("marker map has no seed components")
-    seeds = seed_order(markers.labels, markers.labels == 0)
-    labels = priority_flood(field.values, markers.labels, seeds)
+    free = markers.labels == 0
+    seeds = seed_order(markers.labels, free)
+    labels = priority_flood(field.values, markers.labels, seeds, free)
     return SegmentMap(labels)
 
 
@@ -78,11 +79,9 @@ def _boundary_counts(labels: np.ndarray) -> dict:
 
 def _compact(labels: np.ndarray, allow_zero: bool) -> SegmentMap:
     """Renumber surviving labels to 1..K' preserving ascending order."""
-    present = np.unique(labels)
-    present = present[present > 0]
-    remap = np.zeros(int(labels.max()) + 1, dtype=np.int32)
-    remap[present] = np.arange(1, len(present) + 1, dtype=np.int32)
-    return SegmentMap(remap[labels], allow_zero=allow_zero)
+    keep = np.bincount(labels.ravel()) > 0
+    keep[0] = False
+    return SegmentMap((np.cumsum(keep, dtype=np.int32) * keep)[labels], allow_zero=allow_zero)
 
 
 def merge_small_regions(seg: SegmentMap, min_area: int = 1) -> SegmentMap:

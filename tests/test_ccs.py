@@ -113,3 +113,34 @@ class TestCloudMask:
         mask = ccs_cloud_mask(seg)
         np.testing.assert_array_equal(mask.flags, seg.labels != 0)
         assert mask.cloud_count == int((seg.labels != 0).sum())
+
+
+def ccs_oracle(bt, cfg):
+    """CCS composed from the brute-force references: components at or
+    below the first level, an all-seeds flood capped at each later level,
+    then the rescan merge."""
+    levels = cfg.threshold_levels
+    labels = oracles.flood_components(bt <= levels[0])
+    for level in levels[1:]:
+        labels = oracles.all_seeds_flood(bt, labels, limit=level)
+    return oracles.rescan_merge(labels, cfg.min_area)
+
+
+def random_bt(rng):
+    shape = rng.integers(1, 13, size=2)
+    if rng.random() < 0.2:
+        shape[rng.integers(2)] = 1  # 1xN and Nx1 strips
+    if rng.random() < 0.7:  # plateaus, some exactly on a level
+        return rng.choice([205.0, 220.0, 228.0, 235.0, 244.0, 253.0, 262.0, 290.0], size=shape)
+    return rng.uniform(200.0, 270.0, size=shape)
+
+
+def test_matches_brute_force_oracle():
+    rng = np.random.default_rng(2018)
+    schedules = ((220.0,), (220.0, 235.0, 253.0), (228.0, 244.0), (205.0, 220.0, 235.0, 253.0, 262.0))
+    for _ in range(1500):
+        bt = random_bt(rng)
+        cfg = CcsConfig(threshold_levels=schedules[rng.integers(len(schedules))],
+                        min_area=int(rng.choice([1, 2, 3, 5, 8, 20])))
+        got = ccs_segment(make_bt(bt), cfg).labels
+        np.testing.assert_array_equal(got, ccs_oracle(bt, cfg), err_msg=f"{bt!r}\n{cfg}")

@@ -58,7 +58,7 @@ def test_frontier_flood_matches_all_seeds_oracle():
     rng = np.random.default_rng(1991)
     for _ in range(3000):
         priority, labels, limit = random_case(rng)
-        seeds = seed_order(labels, claimable(priority, labels, limit))
-        got = priority_flood(priority, labels, seeds, limit)
+        mask = claimable(priority, labels, limit)
+        got = priority_flood(priority, labels, seed_order(labels, mask), mask)
         want = oracles.all_seeds_flood(priority, labels, limit)
         np.testing.assert_array_equal(got, want, err_msg=f"{priority!r}\n{labels!r}\nlimit={limit}")

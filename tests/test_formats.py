@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,8 +230,10 @@ class TestContainerErrors:
         (read_volume_file, volume_header(1, 1, 1, 1) + ids("rain") + f32(-1.0), "non-negative"),
         (read_cloud_mask, header(2, 1, 1, 1) + ids("labels") + b"\x01", "channel id must be 'mask'"),
         (read_segment_map, header(3, 1, 1, 1) + ids("mask") + bytes(4), "channel id must be 'labels'"),
+        (read_segment_map, header(3, 1, 1, 1) + ids("labels") + np.array([2 ** 31], "<u4").tobytes(),
+         "non-negative int32"),
     ], ids=["dup-channel", "empty-channel-id", "unknown-species", "dup-species", "negative-ratio",
-            "mask-id", "segment-id"])
+            "mask-id", "segment-id", "label-beyond-int32"])
     def test_raises_format_error(self, tmp_path, reader, data, match):
         p = tmp_path / "bad"
         p.write_bytes(data)
@@ -258,6 +261,24 @@ class TestContainerErrors:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("FormatError:"), proc.stdout
         assert "missing [2, 3, 4, 5, 6, 7, 8, 9, 10, 11] and 1999999988 more" in proc.stdout
+
+
+def test_volume_read_holds_one_float64_copy(tmp_path):
+    """Reading a volume holds the file bytes, a view of them and one
+    float64 copy: about 3.3x the file size at peak, where copying the
+    payload and casting the transpose in K order reached 5x."""
+    values = np.random.default_rng(3).random((5, 5, 96, 128)) * 1e-5
+    p = tmp_path / "v.gmsv"
+    write_volume_file(HydrometeorVolume(cloudseg.HYDROMETEOR_SPECIES, values), p)
+    size = p.stat().st_size
+    tracemalloc.start()
+    try:
+        vol = read_volume_file(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert encode_volume_file(vol) == p.read_bytes()
+    assert peak < 4 * size, f"peak {peak / size:.2f}x the file size"
 
 
 def _valid_files():

@@ -95,6 +95,13 @@ class TestLabelRasters:
         with pytest.raises(ValueError, match="non-negative"):
             MarkerMap(np.array([[-1, 1]]))
 
+    @pytest.mark.parametrize("bad", [2 ** 32 + 2, 2 ** 31, -(2 ** 32) + 2])
+    def test_labels_must_fit_int32(self, bad):
+        # the int32 cast must not wrap these to small valid labels
+        for kind in (MarkerMap, SegmentMap):
+            with pytest.raises(ValueError, match="non-negative"):
+                kind(np.array([[1, bad]]))
+
     def test_segment_map_requires_full_partition_by_default(self):
         with pytest.raises(ValueError, match="every pixel"):
             SegmentMap(np.array([[0, 1], [1, 1]]))
