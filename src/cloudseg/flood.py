@@ -31,9 +31,6 @@ pixel outside the mask, makes "label is 0" the loop's only claim test.
 import heapq
 
 import numpy as np
-from scipy import ndimage
-
-_EIGHT = np.ones((3, 3), dtype=bool)
 
 
 def seed_order(labels: np.ndarray, claimable: np.ndarray) -> list:
@@ -42,7 +39,13 @@ def seed_order(labels: np.ndarray, claimable: np.ndarray) -> list:
     A frontier seed is a labeled pixel with at least one 8-neighbour
     set in ``claimable`` (the pixels the flood may still claim).
     """
-    frontier = (labels > 0) & ndimage.binary_dilation(claimable, structure=_EIGHT)
+    h, w = claimable.shape
+    padded = np.pad(claimable, 1)
+    near = np.zeros((h, w), dtype=bool)  # 3x3 dilation of the mask
+    for dr in range(3):
+        for dc in range(3):
+            near |= padded[dr:dr + h, dc:dc + w]
+    frontier = (labels > 0) & near
     flat = labels.ravel()
     idx = np.flatnonzero(frontier)
     return idx[np.argsort(flat[idx], kind="stable")].tolist()

@@ -9,9 +9,7 @@ become the markers the watershed floods from.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from .flood import _EIGHT
 from .raster import MarkerMap, Raster2D
 
 
@@ -73,10 +71,46 @@ def otsu_threshold(field: Raster2D, bins: int = 256) -> OtsuResult:
 
 
 def label_components(mask: np.ndarray) -> np.ndarray:
-    """8-connected components of a boolean mask, labeled 1..K in row-major
-    order of each component's first pixel (the order ``ndimage.label``
-    assigns). Background stays 0."""
-    return ndimage.label(mask, structure=_EIGHT)[0]
+    """8-connected components of a boolean mask as an int32 map.
+
+    Background stays 0. A component with an earlier first pixel in
+    row-major order gets a smaller label, so labels run 1..K in that order.
+
+    Works on runs, the maximal horizontal stretches of set pixels. A run
+    joins each run in the row above whose columns reach within one of its
+    own. The joins are made by hooking the larger root onto the smaller and
+    pointer jumping until every run points at its component's root, which
+    is then the component's first run.
+    """
+    h, w = mask.shape
+    pw = w + 1  # one False column ends every row's last run in that row
+    padded = np.zeros((h, pw), dtype=bool)
+    padded[:, :w] = mask
+    edges = np.flatnonzero(np.diff(padded.ravel(), prepend=False))
+    starts, ends = edges[0::2], edges[1::2]  # flat [start, end) of each run
+    # run k meets runs lo[k]..hi[k]-1: those of the row above that end at or
+    # after its start and begin at or before its end, shifted up one row
+    lo = np.searchsorted(ends, starts - pw, side="left")
+    hi = np.searchsorted(starts, ends - pw, side="right")
+    count = np.maximum(hi - lo, 0)
+    below = np.repeat(np.arange(starts.size), count)
+    above = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - lo, count)
+    parent = np.arange(starts.size)
+    while below.size:
+        np.minimum.at(parent, below, above)  # both roots, above < below
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+        a, b = parent[below], parent[above]
+        joined = a != b
+        below, above = np.maximum(a[joined], b[joined]), np.minimum(a[joined], b[joined])
+    run_label = np.cumsum(parent == np.arange(starts.size), dtype=np.int32)[parent]
+    marks = np.zeros(h * pw, dtype=np.int32)
+    marks[starts] = run_label
+    marks[ends] = -run_label
+    return np.ascontiguousarray(np.cumsum(marks, dtype=np.int32).reshape(h, pw)[:, :w])
 
 
 def generate_markers(field: Raster2D, otsu: OtsuResult, min_seed_area: int = 8) -> MarkerMap:

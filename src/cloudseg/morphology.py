@@ -1,9 +1,13 @@
 """Flat grayscale morphology and the multi-scale / multi-spectral gradients.
 
 Windows are clipped to the image domain, which for a flat structuring
-element is the same thing as replicate padding; the fast path therefore
-runs on scipy's separable min/max filters with mode="nearest". The test
-suite holds these equal, exactly, to a naive clipped-window scan.
+element is the same thing as replicate padding. Flat squares compose by
+Minkowski sum, so a clipped (2r+1)-square max (or min) is r clipped 3x3
+steps, and each step is a row pass then a column pass of np.maximum (or
+np.minimum) over shifted slices. The multi-scale gradient takes scale i's
+dilation and erosion one step from scale i-1's instead of starting over.
+Max and min only select values, so every step is exact; the test suite
+holds the results equal to a naive clipped-window scan.
 
 Every gradient is a dimensionless Raster2D, non-negative by construction:
 dilation minus erosion is >= 0, and so is an erosion of it.
@@ -12,7 +16,6 @@ dilation minus erosion is >= 0, and so is an erosion of it.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .raster import MultiChannelImage, Raster2D, StructuringElement, Units
 
@@ -35,12 +38,27 @@ class GradientConfig:
         object.__setattr__(self, "n_scales", int(self.n_scales))
 
 
+def _pass(values: np.ndarray, op, axis: int) -> np.ndarray:
+    """op over each pixel and its clipped neighbours along one axis."""
+    src = np.moveaxis(values, axis, 0)
+    out = np.empty_like(values)
+    dst = np.moveaxis(out, axis, 0)
+    op(src[:-1], src[1:], out=dst[:-1])  # with the next line
+    dst[-1] = src[-1]
+    op(dst[1:], src[:-1], out=dst[1:])   # and with the previous one
+    return out
+
+
 def _window_max(values: np.ndarray, radius: int) -> np.ndarray:
-    return ndimage.maximum_filter(values, size=2 * radius + 1, mode="nearest")
+    for _ in range(radius):
+        values = _pass(_pass(values, np.maximum, 1), np.maximum, 0)
+    return values
 
 
 def _window_min(values: np.ndarray, radius: int) -> np.ndarray:
-    return ndimage.minimum_filter(values, size=2 * radius + 1, mode="nearest")
+    for _ in range(radius):
+        values = _pass(_pass(values, np.minimum, 1), np.minimum, 0)
+    return values
 
 
 def dilate(f: Raster2D, se: StructuringElement) -> Raster2D:
@@ -67,9 +85,11 @@ def morphological_gradient(f: Raster2D, se: StructuringElement) -> Raster2D:
 
 def _multiscale(values: np.ndarray, n_scales: int) -> np.ndarray:
     acc = np.zeros_like(values)
+    dilated = eroded = values
     for i in range(1, n_scales + 1):
-        grad_i = _window_max(values, i) - _window_min(values, i)
-        acc += _window_min(grad_i, i - 1)
+        dilated = _window_max(dilated, 1)  # scale i from scale i-1: one step
+        eroded = _window_min(eroded, 1)
+        acc += _window_min(dilated - eroded, i - 1)
     return acc / n_scales
 
 

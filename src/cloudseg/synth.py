@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .raster import HYDROMETEOR_SPECIES, HydrometeorVolume, MultiChannelImage, Raster2D, Units
 
@@ -137,6 +136,9 @@ def generate_scene(spec: SceneSpec):
         spec order (kelvin) and the 5-level, 5-species volume. Identical
         specs produce bit-identical results.
     """
+    # imported here so that only scene rendering pays scipy's import time
+    from scipy.ndimage import gaussian_filter
+
     h, w = spec.height, spec.width
     bg = spec.background_bt
     depression = np.zeros((h, w))

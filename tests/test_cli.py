@@ -1,10 +1,14 @@
 """Command-line surface: wiring, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cloudseg
 from cloudseg import (
     CloudMask,
     MultiChannelImage,
@@ -240,3 +244,33 @@ class TestTruthAndEvaluate:
         write_raster_file(CloudMask(np.zeros((3, 3), bool)), a)
         write_raster_file(CloudMask(np.zeros((3, 4), bool)), b)
         assert run("evaluate", "--prediction", a, "--truth", b, "--output", tmp_path / "r") == 2
+
+
+def test_commands_import_no_scipy(tmp_path):
+    # scipy takes longer to import than these commands take to run; only
+    # synth renders with it, so no other command may load it
+    scene, volume = synth(tmp_path)
+    out = tmp_path / "out"
+    commands = [
+        ["gradient", "--input", scene, "--output", f"{out}-gradient.gms1"],
+        ["segment", "--input", scene, "--segments-output", f"{out}-seg.gms1",
+         "--mask-output", f"{out}-mask.gms1", "--stats-output", f"{out}-stats.csv"],
+        ["ccs", "--input", scene, "--segments-output", f"{out}-ccs.gms1",
+         "--mask-output", f"{out}-ccs-mask.gms1"],
+        ["truth-mask", "--input", volume, "--output", f"{out}-truth.gms1"],
+        ["evaluate", "--prediction", f"{out}-mask.gms1", "--truth", f"{out}-truth.gms1",
+         "--output", f"{out}-report.json"],
+    ]
+    code = (
+        "import json, sys\n"
+        "from cloudseg.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cloudseg.__file__)))
+    argv = json.dumps([[str(a) for a in cmd] for cmd in commands])
+    proc = subprocess.run([sys.executable, "-c", code, argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "out-report.json").exists()

@@ -54,6 +54,25 @@ def random_case(rng):
     return priority, labels, limit
 
 
+def naive_seed_order(labels, mask):
+    h, w = labels.shape
+    seeds = []
+    for r in range(h):
+        for c in range(w):
+            near = mask[max(r - 1, 0):r + 2, max(c - 1, 0):c + 2]
+            if labels[r, c] > 0 and near.any():
+                seeds.append((labels[r, c], r * w + c))
+    return [i for _, i in sorted(seeds)]
+
+
+def test_seed_order_matches_naive_scan():
+    rng = np.random.default_rng(1992)
+    for _ in range(3000):
+        priority, labels, limit = random_case(rng)
+        mask = claimable(priority, labels, limit)
+        assert seed_order(labels, mask) == naive_seed_order(labels, mask)
+
+
 def test_frontier_flood_matches_all_seeds_oracle():
     rng = np.random.default_rng(1991)
     for _ in range(3000):

@@ -1,5 +1,7 @@
 """Otsu selection and marker extraction."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -63,8 +65,8 @@ class TestLabelComponents:
         for n in range(1, 13):
             masks.append(rng.random((1, n)) > 0.5)
             masks.append(rng.random((n, 1)) > 0.5)
-        for _ in range(300):
-            h, w = (int(v) for v in rng.integers(1, 13, size=2))
+        for _ in range(3000):
+            h, w = (int(v) for v in rng.integers(1, 14, size=2))
             masks.append(rng.random((h, w)) < rng.random())
         for mask in masks:
             got = label_components(mask)
@@ -82,6 +84,34 @@ class TestLabelComponents:
     def test_diagonal_counts_as_connected(self):
         mask = np.eye(4, dtype=bool)
         assert label_components(mask).max() == 1
+
+
+def serpentine(n):
+    """One n x n component: every even column, neighbours joined
+    alternately across the top and bottom rows."""
+    mask = np.zeros((n, n), dtype=bool)
+    mask[:, 0::2] = True
+    mask[0, 1::4] = True
+    mask[n - 1, 3::4] = True
+    return mask
+
+
+@pytest.mark.parametrize("name", ["noise-50", "noise-60", "serpentine"])
+def test_labelling_has_no_superlinear_blowup(name):
+    from scipy import ndimage
+
+    if name == "serpentine":
+        mask = serpentine(2048)
+    else:
+        mask = np.random.default_rng(7).random((1024, 1024)) < int(name[-2:]) / 100
+    start = time.perf_counter()
+    labels = label_components(mask)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"{name}: {elapsed:.2f} s"
+    if name == "serpentine":
+        assert labels.max() == 1 and (labels > 0).sum() == mask.sum()
+    else:
+        np.testing.assert_array_equal(labels, ndimage.label(mask, structure=np.ones((3, 3)))[0])
 
 
 class TestGenerateMarkers:

@@ -66,10 +66,13 @@ class TestDilateErode:
             prev_d, prev_e = d, e
 
     def test_matches_oracle_on_random_rasters(self, rng):
-        for _ in range(50):
+        for k in range(700):
             h, w = rng.integers(1, 17, size=2)
-            f = rng.normal(size=(h, w)) * 50
-            radius = int(rng.integers(1, 4))
+            if k % 2:
+                f = rng.integers(0, 4, size=(h, w)).astype(float)  # plateaus and ties
+            else:
+                f = rng.normal(size=(h, w)) * 50
+            radius = k % 7
             se = StructuringElement(radius)
             np.testing.assert_array_equal(dilate(Raster2D(f), se).values, oracles.window_max(f, radius))
             np.testing.assert_array_equal(erode(Raster2D(f), se).values, oracles.window_min(f, radius))
@@ -113,6 +116,18 @@ class TestMultiscaleGradient:
         got = multiscale_gradient(Raster2D(f), GradientConfig(n_scales=3)).values
         want = oracles.multiscale_reference(f, 3)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_matches_oracle_on_2000_grids(self):
+        rng = np.random.default_rng(1107)
+        for k in range(2000):
+            h, w = (int(v) for v in rng.integers(1, 10, size=2))
+            if k % 2:
+                f = rng.integers(0, 4, size=(h, w)).astype(float)  # plateaus and ties
+            else:
+                f = rng.normal(size=(h, w)) * 30
+            n = k % 6 + 1
+            got = multiscale_gradient(Raster2D(f), GradientConfig(n_scales=n)).values
+            np.testing.assert_array_equal(got, oracles.multiscale_reference(f, n), err_msg=repr(f))
 
     def test_non_negative(self, rng):
         f = Raster2D(rng.normal(size=(15, 15)) * 100)
