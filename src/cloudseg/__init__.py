@@ -18,6 +18,7 @@ from .formats import (
     read_raster_file,
     read_segment_map,
     read_volume_file,
+    read_volume_levels,
     write_raster_file,
     write_volume_file,
 )

@@ -4,13 +4,15 @@ truth masks and verification reports.
 Exit codes are stable: 0 success, 2 I/O or format problems, 3 algorithmic
 preconditions (constant gradient field, no surviving markers), 64 usage.
 Every subcommand is a pure function of its input files and flags, so
-repeated invocations write byte-identical outputs.
+repeated invocations write byte-identical outputs. A subcommand writes
+all of its outputs or, when it fails, none of them.
 """
 
 import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 
 from .ccs import CcsConfig, ccs_cloud_mask, ccs_segment
@@ -18,7 +20,8 @@ from .formats import (
     FormatError,
     read_cloud_mask,
     read_raster_file,
-    read_volume_file,
+    read_volume_file,  # unused: perfbench/spans.py wraps it by this name until ROADMAP item 5
+    read_volume_levels,
     write_raster_file,
     write_volume_file,
 )
@@ -137,6 +140,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Outputs:
+    """A command's outputs, written all or none: ``out(path)`` names a
+    temporary file beside ``path``. A clean exit moves every temporary
+    file onto its path; any error removes those still left."""
+
+    def __init__(self):
+        self._moves = []
+
+    def __call__(self, path) -> str:
+        temp = f"{path}.{os.getpid()}.tmp"
+        self._moves.append((temp, path))
+        return temp
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        try:
+            if exc_type is None:
+                for temp, path in self._moves:
+                    os.replace(temp, path)
+        finally:
+            for temp, _ in self._moves:
+                try:
+                    os.remove(temp)
+                except OSError:  # moved into place, or never created
+                    pass
+
+
 def _select_channels(img: MultiChannelImage, wanted) -> MultiChannelImage:
     if not wanted:
         return img
@@ -154,8 +186,9 @@ def _cmd_synth(args) -> int:
         if args.noise_sigma is not None:
             spec = dataclasses.replace(spec, noise_sigma=args.noise_sigma)
     image, volume = generate_scene(spec)
-    write_raster_file(image, args.scene_output)
-    write_volume_file(volume, args.volume_output)
+    with _Outputs() as out:
+        write_raster_file(image, out(args.scene_output))
+        write_volume_file(volume, out(args.volume_output))
     return EXIT_OK
 
 
@@ -168,7 +201,8 @@ def _fused_gradient(args):
 
 def _cmd_gradient(args) -> int:
     _, field = _fused_gradient(args)
-    write_raster_file(MultiChannelImage((("gradient", field),)), args.output)
+    with _Outputs() as out:
+        write_raster_file(MultiChannelImage((("gradient", field),)), out(args.output))
     return EXIT_OK
 
 
@@ -181,14 +215,15 @@ def _cmd_segment(args) -> int:
         seg = merge_small_regions(seg, min_area=args.min_area)
     bt = selected.raster(args.bt_channel or selected.channel_ids[0])
     mask, stats = classify_regions(seg, bt, clear_sky_cutoff=args.clear_sky_cutoff, gradient=field)
-    write_raster_file(seg, args.segments_output)
-    write_raster_file(mask, args.mask_output)
-    with open(args.stats_output, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["label", "area", "mean_bt", "min_bt", "mean_gradient", "is_cloud"])
-        for s in stats:
-            writer.writerow([s.label, s.area, f"{s.mean_bt:.6f}", f"{s.min_bt:.6f}",
-                             f"{s.mean_gradient:.6f}", "true" if s.is_cloud else "false"])
+    with _Outputs() as out:
+        write_raster_file(seg, out(args.segments_output))
+        write_raster_file(mask, out(args.mask_output))
+        with open(out(args.stats_output), "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["label", "area", "mean_bt", "min_bt", "mean_gradient", "is_cloud"])
+            for s in stats:
+                writer.writerow([s.label, s.area, f"{s.mean_bt:.6f}", f"{s.min_bt:.6f}",
+                                 f"{s.mean_gradient:.6f}", "true" if s.is_cloud else "false"])
     return EXIT_OK
 
 
@@ -197,14 +232,17 @@ def _cmd_ccs(args) -> int:
     bt = image.raster(args.bt_channel or image.channel_ids[0])
     cfg = CcsConfig(threshold_levels=args.levels, min_area=args.min_area)
     seg = ccs_segment(bt, cfg)
-    write_raster_file(seg, args.segments_output)
-    write_raster_file(ccs_cloud_mask(seg), args.mask_output)
+    with _Outputs() as out:
+        write_raster_file(seg, out(args.segments_output))
+        write_raster_file(ccs_cloud_mask(seg), out(args.mask_output))
     return EXIT_OK
 
 
 def _cmd_truth_mask(args) -> int:
-    volume = read_volume_file(args.input)
-    write_raster_file(derive_truth_mask(volume, threshold=args.threshold), args.output)
+    _, _, planes = read_volume_levels(args.input)
+    mask = derive_truth_mask(planes, threshold=args.threshold)
+    with _Outputs() as out:
+        write_raster_file(mask, out(args.output))
     return EXIT_OK
 
 
@@ -212,7 +250,7 @@ def _cmd_evaluate(args) -> int:
     prediction = read_cloud_mask(args.prediction)
     truth = read_cloud_mask(args.truth)
     report = verify(contingency(prediction, truth))
-    with open(args.output, "w") as fh:
+    with _Outputs() as out, open(out(args.output), "w") as fh:
         json.dump(dataclasses.asdict(report), fh, indent=2)
         fh.write("\n")
     return EXIT_OK

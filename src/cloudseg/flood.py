@@ -8,7 +8,8 @@ flood may claim to both ``seed_order`` and ``priority_flood``.
 Semantics, fixed for reproducibility:
 
 * the heap orders pixels by (priority value, global insertion sequence),
-  so equal values resolve first-in first-out;
+  so equal values resolve first-in first-out, and the sequence is unique,
+  so nothing after it in an entry is ever compared;
 * when a pixel is popped, each unlabeled claimable 8-neighbour immediately
   takes the popped pixel's label and enters the heap at its own value
   (first claim wins, labels never change afterwards);
@@ -23,9 +24,14 @@ after all seeds and each claim's seq shifts by the same constant.
 Markers usually cover most of the image, so this keeps their interiors
 out of the heap.
 
-The loop runs on flat Python lists, far faster than scalar ndarray
-indexing. A one-pixel border of -1 walls, plus -1 on every unlabeled
-pixel outside the mask, makes "label is 0" the loop's only claim test.
+The loop's bookkeeping covers the claimable pixels only, so its memory
+and set-up follow the work, not the image: a bytearray of the padded mask
+is 1 where a pixel may still be claimed and is zeroed on claim, a dict
+holds the priorities of the claimable pixels, and each heap entry
+carries its pixel's label. The one-pixel border and every pixel outside
+the mask are 0 bytes, walls never claimed, which makes "is this byte 1?"
+the loop's only claim test. The claims are scattered into a copy of the
+labels at the end.
 """
 
 import heapq
@@ -64,27 +70,35 @@ def priority_flood(priority: np.ndarray, labels: np.ndarray, seeds: list,
     Returns:
         New int32 label array; unlabeled pixels outside ``claimable`` stay 0.
     """
-    h, w = priority.shape
+    w = priority.shape[1]
     pw = w + 2  # padded row width
-    vals = priority.ravel().tolist()
-    # -1 walls on a one-pixel border and on unlabeled pixels outside the mask
-    labs = np.pad(np.where(claimable | (labels != 0), labels, -1), 1, constant_values=-1)
-    labs = labs.ravel().tolist()  # rebinding frees both arrays before the flood
+    # 1 on the claimable pixels; the one-pixel border and every pixel
+    # outside the mask are 0, walls the loop never claims
+    free = np.pad(claimable, 1)
+    claim = bytearray(free)
+    vals = dict(zip(np.flatnonzero(free).tolist(), priority[claimable].tolist()))
+    del free
+    flat = np.asarray(seeds, dtype=np.intp)
     # pixel i = r * w + c sits at padded index (r + 1) * pw + c + 1 = i + 2 * r + pw + 1
-    heap = [(vals[i], seq, i + 2 * (i // w) + pw + 1) for seq, i in enumerate(seeds)]
-    heapq.heapify(heap)
+    heap = list(zip(priority.ravel()[flat].tolist(), range(flat.size),
+                    (flat + 2 * (flat // w) + pw + 1).tolist(), labels.ravel()[flat].tolist()))
+    heapq.heapify(heap)  # seq is unique, so labels are never compared
     seq = len(heap)
+    claimed, claimed_labels = [], []
     push = heapq.heappush
     pop = heapq.heappop
     offs = (-pw - 1, -pw, -pw + 1, -1, 1, pw - 1, pw, pw + 1)
     while heap:
-        _, _, i = pop(heap)
-        li = labs[i]
+        _, _, i, li = pop(heap)
         for off in offs:
             j = i + off
-            if labs[j] == 0:
-                labs[j] = li
-                push(heap, (vals[j - 2 * (j // pw) + 1 - pw], seq, j))
+            if claim[j]:
+                claim[j] = 0
+                claimed.append(j)
+                claimed_labels.append(li)
+                push(heap, (vals[j], seq, j, li))
                 seq += 1
-    out = np.asarray(labs, dtype=np.int32).reshape(h + 2, pw)[1:-1, 1:-1]
-    return np.maximum(out, 0, out=out)  # walls back to 0, in place
+    out = labels.astype(np.int32)
+    padded = np.array(claimed, dtype=np.intp)
+    np.put(out, padded - 2 * (padded // pw) + 1 - pw, claimed_labels)
+    return out

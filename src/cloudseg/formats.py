@@ -33,14 +33,28 @@ GMSV layout replaces the channel axis with species and adds a level axis::
 
 Multi-channel imagery encodes as f32 (dtype 1), cloud masks as u8
 (dtype 2, one byte 0/1 per pixel), segment maps as u32 (dtype 3).
+
+Level-major order lets a volume stream: ``read_volume_levels`` yields it
+one level at a time and ``write_volume_file`` writes it that way, so
+neither holds the whole f32 payload.
 """
 
 import functools
+import os
 import struct
 
 import numpy as np
 
-from .raster import CloudMask, MultiChannelImage, Raster2D, SegmentMap, HydrometeorVolume, Units
+from .raster import (
+    CloudMask,
+    HydrometeorVolume,
+    MultiChannelImage,
+    Raster2D,
+    SegmentMap,
+    Units,
+    check_mixing_ratios,
+    check_species,
+)
 
 MAGIC_RASTER = b"GMS1"
 MAGIC_VOLUME = b"GMSV"
@@ -100,19 +114,25 @@ def write_raster_file(payload, path) -> None:
         fh.write(data)
 
 
-def encode_volume_file(vol: HydrometeorVolume) -> bytes:
-    head = MAGIC_VOLUME + struct.pack(
+def _volume_chunks(vol: HydrometeorVolume):
+    """The GMSV file in pieces: the header with the species ids, then one
+    level at a time, so a write holds one f32 level, not the whole payload."""
+    yield MAGIC_VOLUME + struct.pack(
         "<BBHIIII", VERSION, DTYPE_F32, 0, vol.width, vol.height, vol.levels, len(vol.species)
-    )
-    ids = b"".join(_pack_id(s) for s in vol.species)
+    ) + b"".join(_pack_id(s) for s in vol.species)
     # payload is level-major: for each level, one plane per species
-    planes = vol.values.transpose(1, 0, 2, 3)
-    return head + ids + np.ascontiguousarray(planes).astype(_NP_DTYPES[DTYPE_F32]).tobytes()
+    for k in range(vol.levels):
+        yield vol.values[:, k].astype(_NP_DTYPES[DTYPE_F32]).tobytes()
+
+
+def encode_volume_file(vol: HydrometeorVolume) -> bytes:
+    return b"".join(_volume_chunks(vol))
 
 
 def write_volume_file(vol: HydrometeorVolume, path) -> None:
     with open(path, "wb") as fh:
-        fh.write(encode_volume_file(vol))
+        for chunk in _volume_chunks(vol):
+            fh.write(chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -120,22 +140,23 @@ def write_volume_file(vol: HydrometeorVolume, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _take(buf: bytes, offset: int, size: int, what: str):
-    if offset + size > len(buf):
+def _take(fh, size: int, what: str) -> bytes:
+    offset = fh.tell()
+    raw = fh.read(size)
+    if len(raw) < size:
         raise FormatError(f"truncated payload: need {size} bytes for {what} at offset {offset}")
-    return buf[offset : offset + size], offset + size
+    return raw
 
 
-def _unpack_ids(buf, offset, count):
+def _unpack_ids(raw: bytes, count: int) -> list:
     ids = []
     for i in range(count):
-        raw, offset = _take(buf, offset, _ID_BYTES, f"id {i}")
-        name = raw.rstrip(b"\0")
+        name = raw[i * _ID_BYTES:(i + 1) * _ID_BYTES].rstrip(b"\0")
         try:
             ids.append(name.decode("ascii"))
         except UnicodeDecodeError as exc:
             raise FormatError(f"non-ASCII id at index {i}") from exc
-    return ids, offset
+    return ids
 
 
 def _check_dims(*dims):
@@ -149,18 +170,17 @@ def _check_dims(*dims):
     return total
 
 
-def _read(path, magic: bytes, dtype_code: int, what: str):
-    """Read and check a GMS1 or GMSV file that must hold `what` (e.g.
-    "a u8 mask") data. Returns (header dims, ids, flat payload); the last
-    dim counts the ids (channels or species)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    head, off = _take(data, 0, 4, "magic")
+def _header(fh, magic: bytes, dtype_code: int, what: str):
+    """Check the header of an open GMS1 or GMSV file that must hold `what`
+    (e.g. "a u8 mask") data, and that the file is exactly as long as the
+    header says, before any payload is read. Returns (header dims, ids,
+    payload element count) with `fh` at the payload; the last dim counts
+    the ids (channels or species)."""
+    head = _take(fh, 4, "magic")
     if head != magic:
         raise FormatError(f"bad magic {head!r}, expected {magic!r}")
     ndims = 4 if magic == MAGIC_VOLUME else 3
-    fixed, off = _take(data, off, 4 + 4 * ndims, "header")
-    version, code, reserved, *dims = struct.unpack("<BBH" + "I" * ndims, fixed)
+    version, code, reserved, *dims = struct.unpack("<BBH" + "I" * ndims, _take(fh, 4 + 4 * ndims, "header"))
     if version != VERSION:
         raise FormatError(f"unsupported version {version}")
     if code not in _NP_DTYPES:
@@ -170,15 +190,14 @@ def _read(path, magic: bytes, dtype_code: int, what: str):
     if reserved != 0:
         raise FormatError(f"reserved field must be 0, got {reserved}")
     total = _check_dims(*dims)
-    ids, off = _unpack_ids(data, off, dims[-1])
-    np_dtype = np.dtype(_NP_DTYPES[code])
-    size = total * np_dtype.itemsize
-    if off + size > len(data):
-        raise FormatError(f"truncated payload: need {size} bytes for payload at offset {off}")
-    if off + size != len(data):
-        raise FormatError(f"trailing data: {len(data) - off - size} unexpected bytes")
-    # a read-only view of the file bytes, not a copy of the payload
-    return dims, ids, np.frombuffer(data, dtype=np_dtype, count=total, offset=off)
+    size = fh.tell() + _ID_BYTES * dims[-1] + total * np.dtype(_NP_DTYPES[code]).itemsize
+    actual = os.fstat(fh.fileno()).st_size
+    if actual < size:
+        raise FormatError(f"truncated payload: header implies {size} bytes, file has {actual}")
+    if actual > size:
+        raise FormatError(f"trailing data: {actual - size} unexpected bytes")
+    ids = _unpack_ids(_take(fh, _ID_BYTES * dims[-1], "ids"), dims[-1])
+    return dims, ids, total
 
 
 def _reader(read):
@@ -198,13 +217,17 @@ def _reader(read):
 def _read_gms1(path, dtype_code: int, what: str, channel_id=None):
     """GMS1 channel ids and (channels, height, width) planes; with
     channel_id, exactly one channel of that id."""
-    (width, height, count), ids, flat = _read(path, MAGIC_RASTER, dtype_code, what)
+    np_dtype = np.dtype(_NP_DTYPES[dtype_code])
+    with open(path, "rb") as fh:
+        (width, height, count), ids, total = _header(fh, MAGIC_RASTER, dtype_code, what)
+        payload = _take(fh, total * np_dtype.itemsize, "payload")
     if channel_id is not None:
         if count != 1:
             raise FormatError(f"{what} file must hold one channel, found {count}")
         if ids[0] != channel_id:
             raise FormatError(f"{what} file's channel id must be {channel_id!r}, got {ids[0]!r}")
-    return ids, flat.reshape(count, height, width)
+    # a read-only view of the payload bytes, not a copy
+    return ids, np.frombuffer(payload, dtype=np_dtype, count=total).reshape(count, height, width)
 
 
 @_reader
@@ -239,13 +262,52 @@ def read_cloud_mask(path) -> CloudMask:
     return CloudMask(plane.astype(bool))
 
 
+def _volume_levels(path):
+    """Generator behind read_volume_levels: first (species, shape), then
+    the levels, each read into the same buffer."""
+    with open(path, "rb") as fh:
+        (width, height, levels, nspecies), ids, _ = _header(fh, MAGIC_VOLUME, DTYPE_F32, "an f32 volume")
+        yield check_species(ids), (levels, height, width)
+        buf = np.empty((nspecies, height, width), dtype=_NP_DTYPES[DTYPE_F32])
+        plane = buf.view()
+        plane.setflags(write=False)
+        for k in range(levels):
+            if fh.readinto(buf) != buf.nbytes:  # the file shrank after the size check
+                raise FormatError(f"truncated payload in level {k}")
+            try:
+                check_mixing_ratios(buf)
+            except ValueError as exc:
+                raise FormatError(f"invalid contents in level {k}: {exc}") from exc
+            yield plane
+
+
+@_reader
+def read_volume_levels(path):
+    """Open a GMSV hydrometeor volume for reading one level at a time.
+
+    Every header check, the species rules and the file-size check run
+    before this returns, so a malformed, truncated or overlong file raises
+    FormatError before any level is read. The levels are then checked one
+    by one as they are read (finite, non-negative), so a bad level raises
+    FormatError from the iterator.
+
+    Returns:
+        (species, (levels, height, width), planes). ``planes`` yields each
+        level in file order as a read-only (species, height, width) f32
+        array. All levels share one buffer: a plane is valid only until
+        the next one is read, so copy what must outlive that.
+    """
+    planes = _volume_levels(path)
+    species, shape = next(planes)
+    return species, shape, planes
+
+
 @_reader
 def read_volume_file(path) -> HydrometeorVolume:
     """Read a GMSV hydrometeor volume file."""
-    (width, height, levels, nspecies), species, flat = _read(path, MAGIC_VOLUME, DTYPE_F32, "an f32 volume")
-    planes = flat.reshape(levels, nspecies, height, width)
-    if not np.all(np.isfinite(planes)):
-        raise FormatError("non-finite payload values in volume")
-    # one float64 copy, already contiguous, so the container keeps it as is
-    values = np.ascontiguousarray(planes.transpose(1, 0, 2, 3), dtype=np.float64)
-    return HydrometeorVolume(tuple(species), values)
+    species, shape, planes = read_volume_levels(path)
+    # one float64 copy, filled level by level and kept as is by the container
+    values = np.empty((len(species), *shape))
+    for k, plane in enumerate(planes):
+        values[:, k] = plane
+    return HydrometeorVolume(species, values)

@@ -87,15 +87,30 @@ def label_components(mask: np.ndarray) -> np.ndarray:
     padded = np.zeros((h, pw), dtype=bool)
     padded[:, :w] = mask
     edges = np.flatnonzero(np.diff(padded.ravel(), prepend=False))
+    del padded
     starts, ends = edges[0::2], edges[1::2]  # flat [start, end) of each run
-    # run k meets runs lo[k]..hi[k]-1: those of the row above that end at or
-    # after its start and begin at or before its end, shifted up one row
-    lo = np.searchsorted(ends, starts - pw, side="left")
-    hi = np.searchsorted(starts, ends - pw, side="right")
-    count = np.maximum(hi - lo, 0)
-    below = np.repeat(np.arange(starts.size), count)
-    above = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - lo, count)
-    parent = np.arange(starts.size)
+    n = starts.size
+    # Flat positions and pair counts stay int64; run indices are int32, as
+    # an image within the codec's 2**31-element cap has fewer runs than that.
+    # Run k meets runs lo[k]..lo[k]+count[k]-1: those of the row above that
+    # end at or after its start and begin at or before its end, shifted up one row.
+    lo = np.searchsorted(ends, starts - pw, side="left").astype(np.int32)
+    count = np.searchsorted(starts, ends - pw, side="right").astype(np.int32)
+    count -= lo
+    np.maximum(count, 0, out=count)
+    # pair p meets run lo[k] - (first pair of run k) + p, k being its run below
+    shift = np.cumsum(count, dtype=np.int64)
+    shift -= count
+    np.subtract(lo, shift, out=shift)
+    del lo
+    count = count.astype(np.intp)  # else np.repeat makes this copy on each call
+    above = np.repeat(shift, count)
+    del shift
+    above += np.arange(above.size)
+    above = above.astype(np.int32)
+    below = np.repeat(np.arange(n, dtype=np.int32), count)
+    del count
+    parent = np.arange(n, dtype=np.int32)
     while below.size:
         np.minimum.at(parent, below, above)  # both roots, above < below
         while True:
@@ -106,11 +121,14 @@ def label_components(mask: np.ndarray) -> np.ndarray:
         a, b = parent[below], parent[above]
         joined = a != b
         below, above = np.maximum(a[joined], b[joined]), np.minimum(a[joined], b[joined])
-    run_label = np.cumsum(parent == np.arange(starts.size), dtype=np.int32)[parent]
+    run_label = np.cumsum(parent == np.arange(n, dtype=np.int32), dtype=np.int32)[parent]
+    del parent
     marks = np.zeros(h * pw, dtype=np.int32)
     marks[starts] = run_label
     marks[ends] = -run_label
-    return np.ascontiguousarray(np.cumsum(marks, dtype=np.int32).reshape(h, pw)[:, :w])
+    del edges, starts, ends, run_label
+    np.cumsum(marks, out=marks)
+    return np.ascontiguousarray(marks.reshape(h, pw)[:, :w])
 
 
 def generate_markers(field: Raster2D, otsu: OtsuResult, min_seed_area: int = 8) -> MarkerMap:

@@ -260,6 +260,36 @@ class CloudMask:
         return int(self.flags.sum())
 
 
+def check_species(species) -> tuple:
+    """The species ids as a tuple of str.
+
+    Raises:
+        ValueError: no ids, a duplicate, or an id outside HYDROMETEOR_SPECIES.
+    """
+    sp = tuple(str(s) for s in species)
+    if not sp:
+        raise ValueError("HydrometeorVolume needs at least one species")
+    if len(set(sp)) != len(sp):
+        raise ValueError(f"duplicate species: {sp}")
+    for s in sp:
+        if s not in HYDROMETEOR_SPECIES:
+            raise ValueError(f"unknown species {s!r}, expected one of {HYDROMETEOR_SPECIES}")
+    return sp
+
+
+def check_mixing_ratios(values: np.ndarray) -> None:
+    """Raise ValueError unless every mixing ratio is finite and non-negative.
+
+    min and max propagate NaN and are infinite whenever any value is, so
+    two reductions decide both rules without a temporary array.
+    """
+    lo, hi = values.min(), values.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("mixing ratios must be finite")
+    if lo < 0:
+        raise ValueError("mixing ratios must be non-negative")
+
+
 @dataclass(frozen=True)
 class HydrometeorVolume:
     """Stack of hydrometeor mixing-ratio fields, kg/kg.
@@ -272,14 +302,7 @@ class HydrometeorVolume:
     values: np.ndarray
 
     def __post_init__(self):
-        sp = tuple(str(s) for s in self.species)
-        if not sp:
-            raise ValueError("HydrometeorVolume needs at least one species")
-        if len(set(sp)) != len(sp):
-            raise ValueError(f"duplicate species: {sp}")
-        for s in sp:
-            if s not in HYDROMETEOR_SPECIES:
-                raise ValueError(f"unknown species {s!r}, expected one of {HYDROMETEOR_SPECIES}")
+        sp = check_species(self.species)
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 4:
             raise ValueError(f"volume values must be 4D [species][level][row][col], got ndim={v.ndim}")
@@ -287,10 +310,7 @@ class HydrometeorVolume:
             raise ValueError(f"species axis {v.shape[0]} != {len(sp)} species ids")
         if v.shape[1] < 1 or v.shape[2] < 1 or v.shape[3] < 1:
             raise ValueError(f"volume dimensions must be positive, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("mixing ratios must be finite")
-        if v.min() < 0:
-            raise ValueError("mixing ratios must be non-negative")
+        check_mixing_ratios(v)
         object.__setattr__(self, "species", sp)
         object.__setattr__(self, "values", _freeze(v))
 

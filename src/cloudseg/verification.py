@@ -2,9 +2,11 @@
 
 The truth rule sums all hydrometeor species level by level, takes each
 column's vertical maximum of the summed profile, and calls the column
-cloudy when that maximum exceeds 1e-6 kg/kg. Scores follow the standard
-contingency-table definitions; metrics whose denominator is zero are
-reported as None (serialized to JSON null), never as 0 or NaN.
+cloudy when that maximum exceeds 1e-6 kg/kg. It runs in one pass over
+the levels with a running maximum, so a volume streamed from its file
+needs only one level and two float64 planes at a time. Scores follow the
+standard contingency-table definitions; metrics whose denominator is
+zero are reported as None (serialized to JSON null), never as 0 or NaN.
 """
 
 from dataclasses import dataclass
@@ -17,11 +19,32 @@ from .raster import CloudMask, HydrometeorVolume
 MIXING_RATIO_THRESHOLD = 1e-6  # kg/kg
 
 
-def derive_truth_mask(vol: HydrometeorVolume, threshold: float = MIXING_RATIO_THRESHOLD) -> CloudMask:
+def derive_truth_mask(levels, threshold: float = MIXING_RATIO_THRESHOLD) -> CloudMask:
     """Column is cloudy iff the vertical max of the summed species profile
-    exceeds the threshold (sum first, then maximize)."""
-    summed = vol.values.sum(axis=0)        # (levels, h, w)
-    column_max = summed.max(axis=0)        # (h, w)
+    exceeds the threshold (sum first, then maximize).
+
+    Args:
+        levels: a HydrometeorVolume, or its levels in order as
+            (species, h, w) arrays, e.g. ``vol.values.transpose(1, 0, 2, 3)``
+            or the planes of ``formats.read_volume_levels``. Each level is
+            used before the next is taken, so a reader may reuse its buffer.
+        threshold: mixing ratio (kg/kg) a column's maximum must exceed.
+    """
+    if isinstance(levels, HydrometeorVolume):
+        levels = levels.values.transpose(1, 0, 2, 3)
+    column_max = None
+    for plane in levels:
+        # species added one by one in file order, as values.sum(axis=0) does
+        summed = plane[0].astype(np.float64)
+        for species in plane[1:]:
+            summed += species
+        if column_max is None:
+            column_max = summed
+        else:
+            np.maximum(column_max, summed, out=column_max)
+        del summed  # else the next level's sum is allocated beside it
+    if column_max is None:
+        raise ValueError("a truth mask needs at least one level")
     return CloudMask(column_max > threshold)
 
 

@@ -243,3 +243,9 @@ def tally(pred: np.ndarray, truth: np.ndarray):
         else:
             tn += 1
     return tp, fn, fp, tn
+
+
+def truth_mask_reference(values: np.ndarray, threshold: float) -> np.ndarray:
+    """Truth rule on a whole [species][level][row][col] volume: sum the
+    species, then take each column's maximum over the levels."""
+    return values.sum(axis=0).max(axis=0) > threshold

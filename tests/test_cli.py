@@ -246,6 +246,40 @@ class TestTruthAndEvaluate:
         assert run("evaluate", "--prediction", a, "--truth", b, "--output", tmp_path / "r") == 2
 
 
+class TestAtomicOutputs:
+    """A command that fails leaves none of its outputs and no temp files."""
+
+    def test_unwritable_last_output_leaves_nothing(self, tmp_path):
+        scene, _ = synth(tmp_path, preset="wyoming_like")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run("segment", "--input", scene, "--segments-output", out / "seg.gms1",
+                   "--mask-output", out / "mask.gms1",
+                   "--stats-output", tmp_path / "missing" / "stats.csv") == 2
+        assert list(out.iterdir()) == []
+
+    def test_bad_last_level_leaves_no_truth_mask(self, tmp_path):
+        from cloudseg import HydrometeorVolume, write_volume_file
+        vol_p = tmp_path / "v.gmsv"
+        write_volume_file(HydrometeorVolume(("rain",), np.full((1, 3, 4, 4), 2e-6)), vol_p)
+        data = bytearray(vol_p.read_bytes())
+        data[-4:] = np.array([np.nan], "<f4").tobytes()
+        vol_p.write_bytes(bytes(data))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run("truth-mask", "--input", vol_p, "--output", out / "truth.gms1") == 2
+        assert list(out.iterdir()) == []
+
+    def test_success_replaces_existing_outputs(self, tmp_path):
+        scene, volume = synth(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "truth.gms1").write_bytes(b"stale")
+        assert run("truth-mask", "--input", volume, "--output", out / "truth.gms1") == 0
+        assert sorted(p.name for p in out.iterdir()) == ["truth.gms1"]
+        assert read_cloud_mask(out / "truth.gms1").cloud_count > 0
+
+
 def test_commands_import_no_scipy(tmp_path):
     # scipy takes longer to import than these commands take to run; only
     # synth renders with it, so no other command may load it

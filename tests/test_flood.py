@@ -1,5 +1,7 @@
 """Frontier seeding and the priority flood against the all-seeds oracle."""
 
+import tracemalloc
+
 import numpy as np
 
 import oracles
@@ -81,3 +83,25 @@ def test_frontier_flood_matches_all_seeds_oracle():
         got = priority_flood(priority, labels, seed_order(labels, mask), mask)
         want = oracles.all_seeds_flood(priority, labels, limit)
         np.testing.assert_array_equal(got, want, err_msg=f"{priority!r}\n{labels!r}\nlimit={limit}")
+
+
+def test_flood_memory_follows_the_claimable_pixels():
+    """A 2048 x 2048 grid with a 10-column claimable strip (20,480 pixels):
+    the flood holds the int32 result, a byte per padded pixel and
+    entries for the strip only, about 23 MiB at peak, where converting
+    the whole image to Python lists reached 176 MiB."""
+    n = 2048
+    priority = np.random.default_rng(5).integers(0, 50, size=(n, n)).astype(float)
+    labels = np.zeros((n, n), dtype=np.int32)
+    labels[:, :1000] = 1
+    labels[:, 1010:] = 2
+    mask = labels == 0
+    seeds = seed_order(labels, mask)
+    tracemalloc.start()
+    try:
+        got = priority_flood(priority, labels, seeds, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got[mask] > 0).all() and (got[~mask] == labels[~mask]).all()
+    assert peak <= 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"

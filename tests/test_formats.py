@@ -20,10 +20,12 @@ from cloudseg import (
     Raster2D,
     SegmentMap,
     Units,
+    derive_truth_mask,
     read_cloud_mask,
     read_raster_file,
     read_segment_map,
     read_volume_file,
+    read_volume_levels,
     write_raster_file,
     write_volume_file,
 )
@@ -264,9 +266,9 @@ class TestContainerErrors:
 
 
 def test_volume_read_holds_one_float64_copy(tmp_path):
-    """Reading a volume holds the file bytes, a view of them and one
-    float64 copy: about 3.3x the file size at peak, where copying the
-    payload and casting the transpose in K order reached 5x."""
+    """Reading a volume holds one float64 copy, twice the file size, plus
+    one f32 level: about 2.2x the file size at peak, where holding the
+    file bytes beside the copy reached 3.3x."""
     values = np.random.default_rng(3).random((5, 5, 96, 128)) * 1e-5
     p = tmp_path / "v.gmsv"
     write_volume_file(HydrometeorVolume(cloudseg.HYDROMETEOR_SPECIES, values), p)
@@ -278,7 +280,63 @@ def test_volume_read_holds_one_float64_copy(tmp_path):
     finally:
         tracemalloc.stop()
     assert encode_volume_file(vol) == p.read_bytes()
-    assert peak < 4 * size, f"peak {peak / size:.2f}x the file size"
+    assert peak < 2.5 * size, f"peak {peak / size:.2f}x the file size"
+
+
+def test_streamed_truth_mask_holds_a_level_not_the_volume(tmp_path):
+    """Reading and masking a 5-level volume level by level holds one f32
+    level and two float64 planes: about 0.42x the file size at peak,
+    where reading the whole volume first reached 3.25x."""
+    values = np.random.default_rng(4).random((5, 5, 96, 128)) * 1e-6
+    vol = HydrometeorVolume(cloudseg.HYDROMETEOR_SPECIES, values.astype(np.float32))
+    p = tmp_path / "v.gmsv"
+    write_volume_file(vol, p)
+    size = p.stat().st_size
+    tracemalloc.start()
+    try:
+        _, _, planes = read_volume_levels(p)
+        mask = derive_truth_mask(planes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(mask.flags, derive_truth_mask(vol).flags)
+    assert peak <= 0.5 * size, f"peak {peak / size:.2f}x the file size"
+
+
+class TestVolumeLevels:
+    def test_levels_in_file_order(self, tmp_path, rng):
+        values = (rng.random((2, 3, 4, 5)) * 1e-5).astype(np.float32)
+        p = tmp_path / "v.gmsv"
+        write_volume_file(HydrometeorVolume(("rain", "snow"), values), p)
+        species, shape, planes = read_volume_levels(p)
+        assert species == ("rain", "snow")
+        assert shape == (3, 4, 5)
+        for k, plane in enumerate(planes):
+            assert plane.dtype == np.float32 and not plane.flags.writeable
+            np.testing.assert_array_equal(plane, values[:, k])
+        assert k == 2
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda data: data[:-1], "truncated"),
+        (lambda data: data[:40], "truncated"),
+        (lambda data: data + b"\0", "trailing"),
+    ], ids=["last-byte", "no-payload", "trailing-byte"])
+    def test_size_is_checked_before_any_level(self, tmp_path, edit, match):
+        vol = HydrometeorVolume(("rain",), np.zeros((1, 2, 3, 4)))
+        p = tmp_path / "v.gmsv"
+        p.write_bytes(edit(encode_volume_file(vol)))
+        with pytest.raises(FormatError, match=match):
+            read_volume_levels(p)
+
+    def test_bad_level_raises_from_the_iterator(self, tmp_path):
+        data = volume_header(1, 1, 3, 1) + ids("rain") + f32(0.0, 1e-6, np.nan)
+        p = tmp_path / "v.gmsv"
+        p.write_bytes(data)
+        _, _, planes = read_volume_levels(p)
+        assert next(planes)[0, 0, 0] == 0.0
+        assert next(planes)[0, 0, 0] == np.float32(1e-6)
+        with pytest.raises(FormatError, match="level 2.*finite"):
+            next(planes)
 
 
 def _valid_files():
@@ -322,6 +380,12 @@ _READERS = (
 )
 
 
+def _read_levels(path):
+    """The level reader, fully consumed: species and a copy of each level."""
+    species, _, planes = read_volume_levels(path)
+    return species, [plane.copy() for plane in planes]
+
+
 # tmp_path is shared by the examples on purpose: each one rewrites the file
 @settings(max_examples=1500, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -335,3 +399,12 @@ def test_decode_round_trips_or_raises_format_error(tmp_path, data):
         except FormatError:
             continue
         assert encode(decoded) == data, read.__name__
+    try:
+        species, levels = _read_levels(p)
+    except FormatError:
+        with pytest.raises(FormatError):
+            read_volume_file(p)
+        return
+    vol = read_volume_file(p)
+    assert species == vol.species
+    np.testing.assert_array_equal(np.stack(levels, axis=1), vol.values)

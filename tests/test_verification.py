@@ -4,9 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from cloudseg import (
+    HYDROMETEOR_SPECIES,
     CloudMask,
     ContingencyTable,
     HydrometeorVolume,
@@ -55,6 +58,29 @@ class TestTruthMask:
             for c in range(5):
                 profile = values[:, :, r, c].sum(axis=0)
                 assert got[r, c] == (profile.max() > 1e-6)
+
+    def test_matches_whole_volume_rule(self):
+        # magnitudes spread over four decades make the species sums round,
+        # so summing in another order would flip columns at the threshold
+        rng = np.random.default_rng(77)
+        for case in range(600):
+            species = 1 if case % 5 == 0 else int(rng.integers(1, 6))
+            levels = 1 if case % 7 == 0 else int(rng.integers(1, 6))
+            h, w = (int(n) for n in rng.integers(1, 7, size=2))
+            shape = (species, levels, h, w)
+            values = rng.random(shape) * 10.0 ** rng.uniform(-9, -5, shape)
+            if case % 2:
+                values = values.astype(np.float32).astype(np.float64)
+            threshold = float(rng.choice(values.sum(axis=0).ravel()))  # some column sits on it
+            want = oracles.truth_mask_reference(values, threshold)
+            vol = HydrometeorVolume(HYDROMETEOR_SPECIES[:species], values)
+            np.testing.assert_array_equal(derive_truth_mask(vol, threshold).flags, want)
+            np.testing.assert_array_equal(
+                derive_truth_mask(values.transpose(1, 0, 2, 3), threshold).flags, want)
+
+    def test_needs_a_level(self):
+        with pytest.raises(ValueError, match="at least one level"):
+            derive_truth_mask([])
 
 
 class TestContingency:
@@ -165,10 +191,12 @@ class TestVerify:
         import json
         assert json.loads(json.dumps(none_d))["pod"] is None
 
-    def test_metrics_invariant_under_permutation(self, rng):
-        pred = rng.random(30) > 0.5
-        truth = rng.random(30) > 0.5
-        perm = rng.permutation(30)
-        a = verify(contingency(CloudMask(pred.reshape(5, 6)), CloudMask(truth.reshape(5, 6))))
-        b = verify(contingency(CloudMask(pred[perm].reshape(5, 6)), CloudMask(truth[perm].reshape(5, 6))))
-        assert a == b
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_metrics_invariant_under_permutation(self, data):
+        h, w = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+        pred = data.draw(arrays(bool, (h, w)))
+        truth = data.draw(arrays(bool, (h, w)))
+        perm = np.array(data.draw(st.permutations(range(h * w))), dtype=np.intp)
+        moved = [CloudMask(m.ravel()[perm].reshape(h, w)) for m in (pred, truth)]
+        assert verify(contingency(*moved)) == verify(contingency(CloudMask(pred), CloudMask(truth)))
