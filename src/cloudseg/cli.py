@@ -267,7 +267,3 @@ def main(argv=None) -> int:
     except (FormatError, OSError, ValueError, KeyError) as exc:
         print(f"cloudseg: {exc}", file=sys.stderr)
         return EXIT_DATA
-
-
-def run() -> None:
-    sys.exit(main())

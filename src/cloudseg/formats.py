@@ -263,8 +263,9 @@ def read_cloud_mask(path) -> CloudMask:
 
 
 def _volume_levels(path):
-    """Generator behind read_volume_levels: first (species, shape), then
-    the levels, each read into the same buffer."""
+    """Generator behind both volume readers: first (species, shape), then
+    the levels, each read into the same buffer. The values are not
+    checked here; each reader checks them once."""
     with open(path, "rb") as fh:
         (width, height, levels, nspecies), ids, _ = _header(fh, MAGIC_VOLUME, DTYPE_F32, "an f32 volume")
         yield check_species(ids), (levels, height, width)
@@ -274,11 +275,17 @@ def _volume_levels(path):
         for k in range(levels):
             if fh.readinto(buf) != buf.nbytes:  # the file shrank after the size check
                 raise FormatError(f"truncated payload in level {k}")
-            try:
-                check_mixing_ratios(buf)
-            except ValueError as exc:
-                raise FormatError(f"invalid contents in level {k}: {exc}") from exc
             yield plane
+
+
+def _checked_levels(planes):
+    """The levels of `planes`, each checked finite and non-negative as it is read."""
+    for k, plane in enumerate(planes):
+        try:
+            check_mixing_ratios(plane)
+        except ValueError as exc:
+            raise FormatError(f"invalid contents in level {k}: {exc}") from exc
+        yield plane
 
 
 @_reader
@@ -299,14 +306,16 @@ def read_volume_levels(path):
     """
     planes = _volume_levels(path)
     species, shape = next(planes)
-    return species, shape, planes
+    return species, shape, _checked_levels(planes)
 
 
 @_reader
 def read_volume_file(path) -> HydrometeorVolume:
     """Read a GMSV hydrometeor volume file."""
-    species, shape, planes = read_volume_levels(path)
-    # one float64 copy, filled level by level and kept as is by the container
+    planes = _volume_levels(path)
+    species, shape = next(planes)
+    # one float64 copy, filled level by level, then checked and kept as is
+    # by the container
     values = np.empty((len(species), *shape))
     for k, plane in enumerate(planes):
         values[:, k] = plane

@@ -280,31 +280,60 @@ class TestAtomicOutputs:
         assert read_cloud_mask(out / "truth.gms1").cloud_count > 0
 
 
-def test_commands_import_no_scipy(tmp_path):
+# A fresh interpreter imports `module`, notes whether that loaded numpy, runs
+# each argv through the process entry point, then prints what it observed.
+# Commands run only when `module` is the entry point itself.
+_CHILD = (
+    "import json, os, sys\n"
+    "import {module}\n"
+    "numpy_on_import = 'numpy' in sys.modules\n"
+    "from cloudseg.__main__ import main\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    sys.argv[1:] = argv\n"
+    "    try:\n"
+    "        main()\n"
+    "    except SystemExit as exc:\n"
+    "        assert exc.code == 0, (argv, exc.code)\n"
+    "print(json.dumps({{'numpy_on_import': numpy_on_import,\n"
+    "                  'blas_threads': os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+    "                  'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')}}))\n"
+)
+
+
+@pytest.mark.parametrize("module, blas_threads, expected", [
+    # the package exports lazily, so the entry point can act before numpy loads
+    ("cloudseg", None, {"numpy_on_import": False, "blas_threads": None}),
+    # the library never sets the BLAS default; only the entry point does
+    ("cloudseg.cli", None, {"numpy_on_import": True, "blas_threads": None}),
     # scipy takes longer to import than these commands take to run; only
     # synth renders with it, so no other command may load it
-    scene, volume = synth(tmp_path)
-    out = tmp_path / "out"
-    commands = [
-        ["gradient", "--input", scene, "--output", f"{out}-gradient.gms1"],
-        ["segment", "--input", scene, "--segments-output", f"{out}-seg.gms1",
-         "--mask-output", f"{out}-mask.gms1", "--stats-output", f"{out}-stats.csv"],
-        ["ccs", "--input", scene, "--segments-output", f"{out}-ccs.gms1",
-         "--mask-output", f"{out}-ccs-mask.gms1"],
-        ["truth-mask", "--input", volume, "--output", f"{out}-truth.gms1"],
-        ["evaluate", "--prediction", f"{out}-mask.gms1", "--truth", f"{out}-truth.gms1",
-         "--output", f"{out}-report.json"],
-    ]
-    code = (
-        "import json, sys\n"
-        "from cloudseg.cli import main\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    assert main(argv) == 0, argv\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
+    ("cloudseg.__main__", None, {"numpy_on_import": False, "blas_threads": "1"}),
+    ("cloudseg.__main__", "3", {"numpy_on_import": False, "blas_threads": "3"}),
+], ids=["package-loads-no-numpy", "cli-sets-no-blas-default", "entry-defaults-blas-to-1",
+        "entry-keeps-caller-blas"])
+def test_child_process(tmp_path, module, blas_threads, expected):
+    run_commands = module == "cloudseg.__main__"
+    commands = []
+    if run_commands:
+        scene, volume = synth(tmp_path)
+        out = tmp_path / "out"
+        commands = [
+            ["gradient", "--input", scene, "--output", f"{out}-gradient.gms1"],
+            ["segment", "--input", scene, "--segments-output", f"{out}-seg.gms1",
+             "--mask-output", f"{out}-mask.gms1", "--stats-output", f"{out}-stats.csv"],
+            ["ccs", "--input", scene, "--segments-output", f"{out}-ccs.gms1",
+             "--mask-output", f"{out}-ccs-mask.gms1"],
+            ["truth-mask", "--input", volume, "--output", f"{out}-truth.gms1"],
+            ["evaluate", "--prediction", f"{out}-mask.gms1", "--truth", f"{out}-truth.gms1",
+             "--output", f"{out}-report.json"],
+        ]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cloudseg.__file__)))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     argv = json.dumps([[str(a) for a in cmd] for cmd in commands])
-    proc = subprocess.run([sys.executable, "-c", code, argv], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", _CHILD.format(module=module), argv],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-    assert (tmp_path / "out-report.json").exists()
+    assert json.loads(proc.stdout) == {**expected, "scipy": []}
+    assert (tmp_path / "out-report.json").exists() == run_commands
