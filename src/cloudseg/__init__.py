@@ -21,8 +21,7 @@ _EXPORTS = {
         "read_volume_file", "read_volume_levels", "write_raster_file", "write_volume_file",
     ), "formats"),
     **dict.fromkeys((
-        "GradientConfig", "dilate", "erode", "morphological_gradient",
-        "multiscale_gradient", "multispectral_gradient",
+        "GradientConfig", "dilate", "erode", "multiscale_gradient", "multispectral_gradient",
     ), "morphology"),
     **dict.fromkeys((
         "ConstantFieldError", "NoSeedRegionsError", "OtsuResult",

@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -46,32 +47,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
-
-
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
-    return value
-
-
-def _nonneg_float(text: str) -> float:
-    value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {value}")
-    return value
+def _number(kind, low=-math.inf):
+    """argparse type: a finite int or float (kind) of at least low."""
+    def parse(text: str):
+        value = kind(text)
+        if not -math.inf < value < math.inf:  # false for NaN; unlike isfinite, takes any int
+            raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a number >= {low}, got {value}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _level_list(text: str) -> tuple:
     try:
-        return tuple(float(part) for part in text.split(","))
+        levels = tuple(float(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad level list {text!r}, expected e.g. 220,235,253")
+    if not all(map(math.isfinite, levels)) or any(a >= b for a, b in zip(levels, levels[1:])):
+        raise argparse.ArgumentTypeError(f"levels must be finite and strictly ascending, got {text!r}")
+    return levels
 
 
 def _channel_list(text: str) -> tuple:
@@ -86,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--preset", choices=sorted(PRESETS), help="shipped scene preset")
     source.add_argument("--spec", help="scene spec file (key = value lines)")
-    p.add_argument("--seed", type=_nonneg_int, default=None, help="override the rng seed")
-    p.add_argument("--noise-sigma", type=_nonneg_float, default=None, help="override the noise level (K)")
+    p.add_argument("--seed", type=_number(int, 0), default=None, help="override the rng seed")
+    p.add_argument("--noise-sigma", type=_number(float, 0), default=None, help="override the noise level (K)")
     p.add_argument("--scene-output", required=True, help="GMS1 path for the channels")
     p.add_argument("--volume-output", required=True, help="GMSV path for the hydrometeors")
     p.set_defaults(func=_cmd_synth)
@@ -95,20 +91,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradient", help="write the multi-spectral gradient of a scene")
     p.add_argument("--input", required=True, help="GMS1 scene")
     p.add_argument("--output", required=True, help="GMS1 path for the 1-channel gradient")
-    p.add_argument("--scales", type=_positive_int, default=5)
+    p.add_argument("--scales", type=_number(int, 1), default=5)
     p.add_argument("--channels", type=_channel_list, default=None, help="comma-separated subset, default all")
     p.add_argument("--normalize-channels", action="store_true")
     p.set_defaults(func=_cmd_gradient)
 
     p = sub.add_parser("segment", help="gradient, markers, watershed and cloud classification")
     p.add_argument("--input", required=True, help="GMS1 scene")
-    p.add_argument("--scales", type=_positive_int, default=5)
+    p.add_argument("--scales", type=_number(int, 1), default=5)
     p.add_argument("--channels", type=_channel_list, default=None)
     p.add_argument("--normalize-channels", action="store_true")
-    p.add_argument("--bins", type=_positive_int, default=256, help="Otsu histogram bins")
-    p.add_argument("--min-seed-area", type=_positive_int, default=8)
-    p.add_argument("--min-area", type=_nonneg_int, default=0, help="post-merge region size, 0 disables")
-    p.add_argument("--clear-sky-cutoff", type=float, default=280.0, help="mean-BT cloud cutoff (K)")
+    p.add_argument("--bins", type=_number(int, 2), default=256, help="Otsu histogram bins")
+    p.add_argument("--min-seed-area", type=_number(int, 1), default=8)
+    p.add_argument("--min-area", type=_number(int, 0), default=0, help="post-merge region size, 0 disables")
+    p.add_argument("--clear-sky-cutoff", type=_number(float), default=280.0, help="mean-BT cloud cutoff (K)")
     p.add_argument("--bt-channel", default=None, help="channel classified against, default first selected")
     p.add_argument("--segments-output", required=True, help="GMS1 path for the label map")
     p.add_argument("--mask-output", required=True, help="GMS1 path for the cloud mask")
@@ -119,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="GMS1 scene")
     p.add_argument("--levels", type=_level_list, default=(220.0, 235.0, 253.0),
                    help="ascending threshold levels, e.g. 220,235,253")
-    p.add_argument("--min-area", type=_positive_int, default=50)
+    p.add_argument("--min-area", type=_number(int, 1), default=50)
     p.add_argument("--bt-channel", default=None)
     p.add_argument("--segments-output", required=True)
     p.add_argument("--mask-output", required=True)
@@ -127,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("truth-mask", help="derive the cloud truth mask from a hydrometeor volume")
     p.add_argument("--input", required=True, help="GMSV volume")
-    p.add_argument("--threshold", type=float, default=1e-6, help="mixing-ratio threshold (kg/kg)")
+    p.add_argument("--threshold", type=_number(float), default=1e-6, help="mixing-ratio threshold (kg/kg)")
     p.add_argument("--output", required=True, help="GMS1 path for the mask")
     p.set_defaults(func=_cmd_truth_mask)
 
@@ -176,15 +172,11 @@ def _select_channels(img: MultiChannelImage, wanted) -> MultiChannelImage:
 
 
 def _cmd_synth(args) -> int:
-    if args.preset is not None:
-        spec = make_preset(args.preset, noise_sigma=args.noise_sigma,
-                           rng_seed=0 if args.seed is None else args.seed)
-    else:
-        spec = read_scene_spec(args.spec)
-        if args.seed is not None:
-            spec = dataclasses.replace(spec, rng_seed=args.seed)
-        if args.noise_sigma is not None:
-            spec = dataclasses.replace(spec, noise_sigma=args.noise_sigma)
+    spec = make_preset(args.preset) if args.preset is not None else read_scene_spec(args.spec)
+    if args.seed is not None:
+        spec = dataclasses.replace(spec, rng_seed=args.seed)
+    if args.noise_sigma is not None:
+        spec = dataclasses.replace(spec, noise_sigma=args.noise_sigma)
     image, volume = generate_scene(spec)
     with _Outputs() as out:
         write_raster_file(image, out(args.scene_output))

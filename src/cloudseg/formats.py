@@ -231,18 +231,17 @@ def _read_gms1(path, dtype_code: int, what: str, channel_id=None):
 
 
 @_reader
-def read_raster_file(path, units: Units = Units.KELVIN) -> MultiChannelImage:
+def read_raster_file(path) -> MultiChannelImage:
     """Read a GMS1 multi-channel (f32) raster file.
 
-    The container does not record units, so the caller states what the
-    values are; scenes default to kelvin, gradient files are dimensionless.
+    The container does not record units; channels are read as kelvin.
     """
     ids, planes = _read_gms1(path, DTYPE_F32, "an f32 image")
     channels = []
     for cid, plane in zip(ids, planes):
         if not np.all(np.isfinite(plane)):
             raise FormatError(f"non-finite payload values in channel {cid!r}")
-        channels.append((cid, Raster2D(plane, units)))
+        channels.append((cid, Raster2D(plane, Units.KELVIN)))
     return MultiChannelImage(tuple(channels))
 
 

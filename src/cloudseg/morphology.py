@@ -71,18 +71,6 @@ def erode(f: Raster2D, se: StructuringElement) -> Raster2D:
     return Raster2D(_window_min(f.values, se.radius), f.units)
 
 
-def morphological_gradient(f: Raster2D, se: StructuringElement) -> Raster2D:
-    """Single-scale gradient, dilation minus erosion.
-
-    Radius 0 is rejected: the single-pixel element makes the difference
-    identically zero by construction.
-    """
-    if se.radius < 1:
-        raise ValueError("morphological gradient needs radius >= 1")
-    diff = _window_max(f.values, se.radius) - _window_min(f.values, se.radius)
-    return Raster2D(diff, Units.DIMENSIONLESS)
-
-
 def _multiscale(values: np.ndarray, n_scales: int) -> np.ndarray:
     acc = np.zeros_like(values)
     dilated = eroded = values

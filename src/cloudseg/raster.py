@@ -131,7 +131,7 @@ class StructuringElement:
         return 2 * self.radius + 1
 
 
-def _validate_labels(labels, kind, allow_zero, require_full):
+def _validate_labels(labels, kind, allow_zero):
     lab = np.asarray(labels)
     if lab.ndim != 2:
         raise ValueError(f"{kind} expects a 2D label array, got ndim={lab.ndim}")
@@ -141,22 +141,21 @@ def _validate_labels(labels, kind, allow_zero, require_full):
         raise ValueError(f"{kind} labels must be non-negative int32 values")
     lab = lab.astype(np.int32)
     k = int(lab.max())
-    if require_full and k < 1:
+    if not allow_zero and k < 1:
         raise ValueError(f"{kind} must contain at least one positive label")
-    if not allow_zero and k >= 1 and (lab == 0).any():
+    if not allow_zero and (lab == 0).any():
         raise ValueError(f"{kind} must assign a positive label to every pixel")
-    if k >= 1:
-        if k <= lab.size:
-            seen = np.flatnonzero(np.bincount(lab.ravel(), minlength=k + 1))
-        else:  # cannot be consecutive, and k may be huge: no array of size k
-            seen = np.unique(lab)
-        seen = seen[seen > 0]
-        if seen.size < k:
-            # the first 10 absent labels all lie in 1..seen.size + 10
-            upto = np.arange(1, min(k, seen.size + 10) + 1)
-            missing = upto[~np.isin(upto, seen)][:10].tolist()
-            more = f" and {k - seen.size - 10} more" if k - seen.size > 10 else ""
-            raise ValueError(f"{kind} labels must be consecutive 1..K, missing {missing}{more}")
+    if k <= lab.size:
+        seen = np.flatnonzero(np.bincount(lab.ravel(), minlength=k + 1))
+    else:  # cannot be consecutive, and k may be huge: no array of size k
+        seen = np.unique(lab)
+    seen = seen[seen > 0]
+    if seen.size < k:
+        # the first 10 absent labels all lie in 1..seen.size + 10
+        upto = np.arange(1, min(k, seen.size + 10) + 1)
+        missing = upto[~np.isin(upto, seen)][:10].tolist()
+        more = f" and {k - seen.size - 10} more" if k - seen.size > 10 else ""
+        raise ValueError(f"{kind} labels must be consecutive 1..K, missing {missing}{more}")
     return lab, k
 
 
@@ -172,7 +171,7 @@ class MarkerMap:
     labels: np.ndarray
 
     def __post_init__(self):
-        lab, _ = _validate_labels(self.labels, "MarkerMap", allow_zero=True, require_full=False)
+        lab, _ = _validate_labels(self.labels, "MarkerMap", allow_zero=True)
         object.__setattr__(self, "labels", _freeze(lab))
 
     @property
@@ -204,9 +203,7 @@ class SegmentMap:
     allow_zero: bool = False
 
     def __post_init__(self):
-        lab, _ = _validate_labels(
-            self.labels, "SegmentMap", allow_zero=self.allow_zero, require_full=not self.allow_zero
-        )
+        lab, _ = _validate_labels(self.labels, "SegmentMap", allow_zero=self.allow_zero)
         object.__setattr__(self, "labels", _freeze(lab))
 
     @property
@@ -237,10 +234,7 @@ class CloudMask:
         if f.ndim != 2:
             raise ValueError(f"CloudMask expects a 2D array, got ndim={f.ndim}")
         if f.dtype != np.bool_:
-            if np.issubdtype(f.dtype, np.integer) and np.isin(f, (0, 1)).all():
-                f = f.astype(bool)
-            else:
-                raise ValueError("CloudMask flags must be boolean (or 0/1 integers)")
+            raise ValueError(f"CloudMask flags must be boolean, got {f.dtype}")
         object.__setattr__(self, "flags", _freeze(f))
 
     @property

@@ -22,7 +22,7 @@ to the IR window channel only.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -183,57 +183,54 @@ def generate_scene(spec: SceneSpec):
 # deck construction and shipped presets
 # ---------------------------------------------------------------------------
 
+_DECK_BACKGROUND_BT = 290.0
 _DECK_SPACING = 3.0
 _DECK_SIGMA = 1.6
 
 
-def _lattice_gain(spacing: float, sigma: float) -> float:
+def _lattice_gain() -> float:
     """Peak depression of an infinite lattice of unit Gaussians, i.e. how
     much neighbour overlap amplifies each element's individual depth."""
     total = 0.0
     for i in range(-6, 7):
         for j in range(-6, 7):
-            total += math.exp(-((i * spacing) ** 2 + (j * spacing) ** 2) / (2.0 * sigma ** 2))
+            total += math.exp(-((i * _DECK_SPACING) ** 2 + (j * _DECK_SPACING) ** 2)
+                              / (2.0 * _DECK_SIGMA ** 2))
     return total
 
 
-def deck(center, radius_px: float, min_bt: float, background_bt: float = 290.0,
-         spacing: float = _DECK_SPACING, sigma: float = _DECK_SIGMA,
-         hydrometeor_peak: float = 2e-4) -> list:
+def deck(center, radius_px: float, min_bt: float) -> list:
     """Clouds forming a steep-rimmed plateau (a stratiform-style deck).
 
-    Small Gaussians of the given sigma sit on a square lattice inside the
-    disk of radius_px around centre; each one's depth is scaled down by
-    the lattice overlap gain so the assembled plateau bottoms out near
-    min_bt.
+    Small Gaussians of std _DECK_SIGMA sit on a square lattice of pitch
+    _DECK_SPACING inside the disk of radius_px around centre; each one's
+    depth is scaled down by the lattice overlap gain so the assembled
+    plateau bottoms out near min_bt on a 290 K background.
     """
-    gain = _lattice_gain(spacing, sigma)
-    element_min_bt = background_bt - (background_bt - min_bt) / gain
+    element_min_bt = _DECK_BACKGROUND_BT - (_DECK_BACKGROUND_BT - min_bt) / _lattice_gain()
     cy, cx = center
-    steps = int(math.ceil(radius_px / spacing))
+    steps = int(math.ceil(radius_px / _DECK_SPACING))
     clouds = []
     for i in range(-steps, steps + 1):
         for j in range(-steps, steps + 1):
-            dy = i * spacing
-            dx = j * spacing
+            dy = i * _DECK_SPACING
+            dx = j * _DECK_SPACING
             if dy * dy + dx * dx <= radius_px * radius_px:
-                clouds.append(CloudSpec((cy + dy, cx + dx), sigma, element_min_bt,
-                                        hydrometeor_peak=hydrometeor_peak))
+                clouds.append(CloudSpec((cy + dy, cx + dx), _DECK_SIGMA, element_min_bt))
     return clouds
 
 
-def preset_warm_stratiform(noise_sigma: float = 0.5, rng_seed: int = 0) -> SceneSpec:
+def preset_warm_stratiform() -> SceneSpec:
     """One large warm stratiform deck, cloud tops near 261 K: everything a
     253 K threshold cannot see."""
     return SceneSpec(
         width=224, height=224,
         clouds=tuple(deck((112.0, 112.0), 70.0, 261.0)),
         channels=(CHANNEL_IR,),
-        noise_sigma=noise_sigma, rng_seed=rng_seed,
     )
 
 
-def preset_mixed(noise_sigma: float = 0.5, rng_seed: int = 0) -> SceneSpec:
+def preset_mixed() -> SceneSpec:
     """Warm deck with two embedded convective cores plus an isolated cold
     cell: both detection regimes in one scene."""
     clouds = deck((120.0, 100.0), 60.0, 262.0)
@@ -243,11 +240,10 @@ def preset_mixed(noise_sigma: float = 0.5, rng_seed: int = 0) -> SceneSpec:
     return SceneSpec(
         width=224, height=224, clouds=tuple(clouds),
         channels=(CHANNEL_IR,),
-        noise_sigma=noise_sigma, rng_seed=rng_seed,
     )
 
 
-def preset_wyoming_like(noise_sigma: float = 0.5, rng_seed: int = 0) -> SceneSpec:
+def preset_wyoming_like() -> SceneSpec:
     """Several compact cold convective cells on a clear background."""
     clouds = []
     for (row, col, radius, min_bt) in (
@@ -261,11 +257,10 @@ def preset_wyoming_like(noise_sigma: float = 0.5, rng_seed: int = 0) -> SceneSpe
     return SceneSpec(
         width=192, height=192, clouds=tuple(clouds),
         channels=(CHANNEL_IR, CHANNEL_WV),
-        noise_sigma=noise_sigma, rng_seed=rng_seed,
     )
 
 
-def preset_harvey_like(noise_sigma: float = 0.5, rng_seed: int = 0) -> SceneSpec:
+def preset_harvey_like() -> SceneSpec:
     """A large cold spiral cluster (deep core, trailing arms) with warm
     skirt clouds around it."""
     clouds = deck((112.0, 112.0), 24.0, 200.0)
@@ -282,7 +277,6 @@ def preset_harvey_like(noise_sigma: float = 0.5, rng_seed: int = 0) -> SceneSpec
     return SceneSpec(
         width=224, height=224, clouds=tuple(clouds),
         channels=(CHANNEL_IR, CHANNEL_WV),
-        noise_sigma=noise_sigma, rng_seed=rng_seed,
     )
 
 
@@ -294,18 +288,16 @@ PRESETS = {
 }
 
 
-def make_preset(name: str, noise_sigma=None, rng_seed: int = 0) -> SceneSpec:
-    """Instantiate a shipped preset; noise_sigma=None keeps its default."""
+def make_preset(name: str, noise_sigma: float = 0.5, rng_seed: int = 0) -> SceneSpec:
+    """Instantiate a shipped preset layout with the given noise and seed."""
     try:
         factory = PRESETS[name]
     except KeyError:
         raise ValueError(f"unknown preset {name!r}, choose from {sorted(PRESETS)}") from None
-    if noise_sigma is None:
-        return factory(rng_seed=rng_seed)
-    return factory(noise_sigma=noise_sigma, rng_seed=rng_seed)
+    return replace(factory(), noise_sigma=noise_sigma, rng_seed=rng_seed)
 
 
-def two_cloud_gap_scene(noise_sigma: float = 0.0, rng_seed: int = 0) -> SceneSpec:
+def two_cloud_gap_scene() -> SceneSpec:
     """Two cloud decks separated by a shallow warm gap near 257 K.
 
     The decks bottom out near 250 K, so a 253 K detection threshold sees
@@ -320,7 +312,7 @@ def two_cloud_gap_scene(noise_sigma: float = 0.0, rng_seed: int = 0) -> SceneSpe
     return SceneSpec(
         width=384, height=192, clouds=tuple(clouds),
         channels=(CHANNEL_IR,),
-        noise_sigma=noise_sigma, rng_seed=rng_seed,
+        noise_sigma=0.0,
     )
 
 

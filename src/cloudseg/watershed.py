@@ -3,7 +3,6 @@ cloud/clear classification of the resulting segments."""
 
 import heapq
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -23,7 +22,7 @@ class RegionStats:
     area: int
     mean_bt: float
     min_bt: float
-    mean_gradient: Optional[float]
+    mean_gradient: float
     is_cloud: bool
 
 
@@ -148,19 +147,20 @@ def merge_small_regions(seg: SegmentMap, min_area: int = 1) -> SegmentMap:
 # ---------------------------------------------------------------------------
 
 
-def classify_regions(seg: SegmentMap, bt: Raster2D, clear_sky_cutoff: float = 280.0,
-                     gradient: Optional[Raster2D] = None):
+def classify_regions(seg: SegmentMap, bt: Raster2D, gradient: Raster2D,
+                     clear_sky_cutoff: float = 280.0):
     """Split segments into cloud and clear by mean brightness temperature.
 
     A region is cloud iff its mean BT is strictly below clear_sky_cutoff.
     Pixels labeled 0 (clear sky in threshold-based maps) are never cloud.
 
     Returns:
-        (CloudMask, list of RegionStats) with stats for every region 1..K;
-        mean_gradient is None when no gradient field is supplied.
+        (CloudMask, list of RegionStats) with stats for every region 1..K.
     """
     if seg.shape != bt.shape:
         raise ValueError(f"shape mismatch: segments {seg.shape} vs bt {bt.shape}")
+    if gradient.shape != seg.shape:
+        raise ValueError("gradient shape mismatch")
     labels = seg.labels
     k = seg.count
     flat = labels.ravel()
@@ -168,10 +168,7 @@ def classify_regions(seg: SegmentMap, bt: Raster2D, clear_sky_cutoff: float = 28
     bt_sums = np.bincount(flat, weights=bt.values.ravel(), minlength=k + 1)
     bt_min = np.full(k + 1, np.inf)
     np.minimum.at(bt_min, flat, bt.values.ravel())
-    if gradient is not None:
-        if gradient.shape != seg.shape:
-            raise ValueError("gradient shape mismatch")
-        grad_sums = np.bincount(flat, weights=gradient.values.ravel(), minlength=k + 1)
+    grad_sums = np.bincount(flat, weights=gradient.values.ravel(), minlength=k + 1)
     stats = []
     cloudy = np.zeros(k + 1, dtype=bool)
     for label in range(1, k + 1):
@@ -184,7 +181,7 @@ def classify_regions(seg: SegmentMap, bt: Raster2D, clear_sky_cutoff: float = 28
             area=area,
             mean_bt=mean_bt,
             min_bt=float(bt_min[label]),
-            mean_gradient=float(grad_sums[label] / area) if gradient is not None else None,
+            mean_gradient=float(grad_sums[label] / area),
             is_cloud=is_cloud,
         ))
     return CloudMask(cloudy[labels]), stats

@@ -10,11 +10,13 @@ import pytest
 
 import cloudseg
 from cloudseg import (
+    PRESETS,
     CloudMask,
     MultiChannelImage,
     Raster2D,
     SceneSpec,
     Units,
+    make_preset,
     read_cloud_mask,
     read_raster_file,
     read_segment_map,
@@ -31,10 +33,11 @@ def run(*args):
         return exc.code
 
 
-def synth(tmp_path, preset="mixed", seed=42, noise=None, stem="scene"):
+def synth(tmp_path, preset="mixed", seed=42, noise=None, stem="scene", spec=None):
     scene = tmp_path / f"{stem}.gms1"
     volume = tmp_path / f"{stem}.gmsv"
-    args = ["synth", "--preset", preset, "--seed", seed,
+    source = ["--spec", spec] if spec is not None else ["--preset", preset]
+    args = ["synth", *source, "--seed", seed,
             "--scene-output", scene, "--volume-output", volume]
     if noise is not None:
         args += ["--noise-sigma", noise]
@@ -68,6 +71,16 @@ class TestSynth:
         b, _ = synth(tmp_path, seed=2, stem="b")
         assert a.read_bytes() != b.read_bytes()
 
+    @pytest.mark.parametrize("noise", [None, 0.25])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_preset_and_its_spec_file_agree(self, tmp_path, preset, noise):
+        spec_path = tmp_path / "preset.spec"
+        write_scene_spec(make_preset(preset), spec_path)
+        from_preset = synth(tmp_path, preset=preset, seed=5, noise=noise, stem="preset")
+        from_spec = synth(tmp_path, seed=5, noise=noise, stem="spec", spec=spec_path)
+        for a, b in zip(from_preset, from_spec):
+            assert a.read_bytes() == b.read_bytes()
+
 
 class TestGradient:
     def test_writes_single_nonnegative_channel(self, tmp_path):
@@ -75,7 +88,7 @@ class TestGradient:
         out = tmp_path / "grad.gms1"
         assert run("gradient", "--input", scene, "--scales", 5,
                    "--channels", "ir_window", "--output", out) == 0
-        grad = read_raster_file(out, units=Units.DIMENSIONLESS)
+        grad = read_raster_file(out)
         assert grad.channel_ids == ("gradient",)
         assert grad.raster("gradient").values.min() >= 0.0
 
@@ -89,7 +102,7 @@ class TestGradient:
         ), scene)
         out = tmp_path / "grad.gms1"
         assert run("gradient", "--input", scene, "--output", out) == 0
-        assert not read_raster_file(out, units=Units.DIMENSIONLESS).raster("gradient").values.any()
+        assert not read_raster_file(out).raster("gradient").values.any()
 
     def test_missing_input_exits_2(self, tmp_path):
         assert run("gradient", "--input", tmp_path / "nope.gms1", "--output", tmp_path / "o") == 2
@@ -174,11 +187,6 @@ class TestCcs:
         assert run("ccs", "--input", "x", "--segments-output", "s",
                    "--mask-output", "m", "--levels", "220,abc") == 64
 
-    def test_descending_levels_exit_2(self, tmp_path):
-        scene, _ = synth(tmp_path, preset="wyoming_like")
-        assert run("ccs", "--input", scene, "--segments-output", tmp_path / "s",
-                   "--mask-output", tmp_path / "m", "--levels", "253,235") == 2
-
 
 class TestTruthAndEvaluate:
     def test_truth_mask_pipeline(self, tmp_path):
@@ -244,6 +252,37 @@ class TestTruthAndEvaluate:
         write_raster_file(CloudMask(np.zeros((3, 3), bool)), a)
         write_raster_file(CloudMask(np.zeros((3, 4), bool)), b)
         assert run("evaluate", "--prediction", a, "--truth", b, "--output", tmp_path / "r") == 2
+
+
+@pytest.fixture(scope="module")
+def mixed_inputs(tmp_path_factory):
+    return synth(tmp_path_factory.mktemp("inputs"), seed=3)
+
+
+@pytest.mark.parametrize("command, flags", [
+    pytest.param("synth", ["--preset", "mixed", "--noise-sigma", "nan"], id="synth-noise-nan"),
+    pytest.param("truth-mask", ["--threshold", "nan"], id="truth-threshold-nan"),
+    pytest.param("segment", ["--clear-sky-cutoff", "nan"], id="segment-cutoff-nan"),
+    pytest.param("segment", ["--bins", "1"], id="segment-one-bin"),
+    pytest.param("ccs", ["--levels", "220,nan,253"], id="ccs-nan-level"),
+    pytest.param("ccs", ["--levels", "nan"], id="ccs-only-nan"),
+    pytest.param("ccs", ["--levels", "inf"], id="ccs-only-inf"),
+    pytest.param("ccs", ["--levels", "253,235"], id="ccs-descending-levels"),
+])
+def test_bad_value_is_usage_error(tmp_path, mixed_inputs, command, flags):
+    scene, volume = mixed_inputs
+    out = tmp_path / "out"
+    out.mkdir()
+    io = {
+        "synth": ["--scene-output", out / "s.gms1", "--volume-output", out / "v.gmsv"],
+        "truth-mask": ["--input", volume, "--output", out / "truth.gms1"],
+        "segment": ["--input", scene, "--segments-output", out / "seg.gms1",
+                    "--mask-output", out / "mask.gms1", "--stats-output", out / "stats.csv"],
+        "ccs": ["--input", scene, "--segments-output", out / "seg.gms1",
+                "--mask-output", out / "mask.gms1"],
+    }[command]
+    assert run(command, *flags, *io) == 64
+    assert list(out.iterdir()) == []
 
 
 class TestAtomicOutputs:

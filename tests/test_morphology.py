@@ -12,7 +12,6 @@ from cloudseg import (
     Units,
     dilate,
     erode,
-    morphological_gradient,
     multiscale_gradient,
     multispectral_gradient,
 )
@@ -79,22 +78,22 @@ class TestDilateErode:
 
 
 class TestMorphologicalGradient:
+    """The single-scale gradient, dilation minus erosion over the 3x3 square."""
+
+    ONE_SCALE = GradientConfig(n_scales=1)
+
     def test_ramp_example(self):
-        out = morphological_gradient(RAMP, StructuringElement(1))
+        out = multiscale_gradient(RAMP, self.ONE_SCALE)
         np.testing.assert_array_equal(out.values, [[4, 5, 4], [7, 8, 7], [4, 5, 4]])
 
     def test_constant_gives_zero_field(self):
-        out = morphological_gradient(Raster2D(np.full((4, 4), 3.0)), StructuringElement(2))
+        out = multiscale_gradient(Raster2D(np.full((4, 4), 3.0)), self.ONE_SCALE)
         assert not out.values.any()
-
-    def test_rejects_radius_zero(self):
-        with pytest.raises(ValueError, match="radius"):
-            morphological_gradient(RAMP, StructuringElement(0))
 
     def test_single_bright_pixel_support(self):
         f = np.zeros((7, 7))
         f[3, 3] = 9.0
-        out = morphological_gradient(Raster2D(f), StructuringElement(1)).values
+        out = multiscale_gradient(Raster2D(f), self.ONE_SCALE).values
         expected_support = np.zeros((7, 7), dtype=bool)
         expected_support[2:5, 2:5] = True
         np.testing.assert_array_equal(out > 0, expected_support)
@@ -104,7 +103,7 @@ class TestMultiscaleGradient:
     def test_single_scale_collapses_to_plain_gradient(self, rng):
         f = Raster2D(rng.normal(size=(8, 8)))
         a = multiscale_gradient(f, GradientConfig(n_scales=1)).values
-        b = morphological_gradient(f, StructuringElement(1)).values
+        b = dilate(f, StructuringElement(1)).values - erode(f, StructuringElement(1)).values
         np.testing.assert_array_equal(a, b)
 
     def test_constant_is_zero_for_default_scales(self):

@@ -119,7 +119,8 @@ class TestLabelRasters:
 class TestCloudMask:
     def test_bool_and_binary_int(self):
         assert CloudMask(np.array([[True, False]])).cloud_count == 1
-        assert CloudMask(np.array([[1, 0]])).cloud_count == 1
+        with pytest.raises(ValueError, match="boolean"):  # read_cloud_mask converts file bytes
+            CloudMask(np.array([[1, 0]]))
 
     def test_rejects_other_ints(self):
         with pytest.raises(ValueError, match="boolean"):

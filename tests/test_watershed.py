@@ -210,21 +210,21 @@ class TestClassifyRegions:
     def test_everything_cold_is_cloud(self):
         seg = SegmentMap(np.array([[1, 1], [2, 2]]))
         bt = make_bt(np.full((2, 2), 220.0))
-        mask, stats = classify_regions(seg, bt, clear_sky_cutoff=280.0)
+        mask, stats = classify_regions(seg, bt, make_field(np.zeros(seg.shape)), clear_sky_cutoff=280.0)
         assert mask.flags.all()
         assert all(s.is_cloud for s in stats)
 
     def test_cutoff_separates_regions(self):
         seg = SegmentMap(np.array([[1, 1], [2, 2]]))
         bt = make_bt(np.array([[290.0, 290.0], [260.0, 260.0]]))
-        mask, stats = classify_regions(seg, bt, clear_sky_cutoff=280.0)
+        mask, stats = classify_regions(seg, bt, make_field(np.zeros(seg.shape)), clear_sky_cutoff=280.0)
         np.testing.assert_array_equal(mask.flags, [[False, False], [True, True]])
         assert [s.is_cloud for s in stats] == [False, True]
 
     def test_zero_cutoff_is_all_clear(self):
         seg = SegmentMap(np.array([[1, 2]]))
         bt = make_bt(np.array([[200.0, 180.0]]))
-        mask, _ = classify_regions(seg, bt, clear_sky_cutoff=0.0)
+        mask, _ = classify_regions(seg, bt, make_field(np.zeros(seg.shape)), clear_sky_cutoff=0.0)
         assert not mask.flags.any()
 
     def test_stats_fields(self, rng):
@@ -241,14 +241,9 @@ class TestClassifyRegions:
         assert stats[1].mean_bt == pytest.approx(291.0)
         assert not stats[1].is_cloud
 
-    def test_mean_gradient_none_without_field(self):
-        seg = SegmentMap(np.array([[1]]))
-        mask, stats = classify_regions(seg, make_bt(np.array([[250.0]])))
-        assert stats[0].mean_gradient is None
-
     def test_label_zero_stays_clear(self):
         seg = SegmentMap(np.array([[0, 1]]), allow_zero=True)
         bt = make_bt(np.array([[200.0, 200.0]]))
-        mask, stats = classify_regions(seg, bt)
+        mask, stats = classify_regions(seg, bt, make_field(np.zeros(seg.shape)))
         np.testing.assert_array_equal(mask.flags, [[False, True]])
         assert len(stats) == 1
