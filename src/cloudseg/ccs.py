@@ -54,17 +54,12 @@ def ccs_segment(bt: Raster2D, cfg: CcsConfig = CcsConfig()) -> SegmentMap:
         raise ValueError("ccs_segment expects brightness temperature in kelvin")
     values = bt.values
     labels = label_components(values <= cfg.threshold_levels[0])
-    if labels.max() == 0:
-        return SegmentMap(labels, allow_zero=True)
     for level in cfg.threshold_levels[1:]:
         eligible = (labels == 0) & (values <= level)
         seeds = seed_order(labels, eligible)
         if seeds:
             labels = priority_flood(values, labels, seeds, eligible)
-    seg = SegmentMap(labels, allow_zero=True)
-    if seg.count:
-        seg = merge_small_regions(seg, min_area=cfg.min_area)
-    return seg
+    return merge_small_regions(SegmentMap(labels), min_area=cfg.min_area)
 
 
 def ccs_cloud_mask(seg: SegmentMap) -> CloudMask:

@@ -30,7 +30,7 @@ from .markers import ConstantFieldError, NoSeedRegionsError, generate_markers, o
 from .morphology import GradientConfig, multispectral_gradient
 from .raster import MultiChannelImage
 from .synth import PRESETS, generate_scene, make_preset, read_scene_spec
-from .verification import contingency, derive_truth_mask, verify
+from .verification import MIXING_RATIO_THRESHOLD, contingency, derive_truth_mask, verify
 from .watershed import EmptyMarkerMapError, classify_regions, merge_small_regions, watershed_from_markers
 
 EXIT_OK = 0
@@ -47,14 +47,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _number(kind, low=-math.inf):
-    """argparse type: a finite int or float (kind) of at least low."""
+def _number(kind, low=-math.inf, high=math.inf):
+    """argparse type: a finite int or float (kind) in [low, high]."""
     def parse(text: str):
         value = kind(text)
         if not -math.inf < value < math.inf:  # false for NaN; unlike isfinite, takes any int
             raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected a number >= {low}, got {value}")
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"expected a number in [{low}, {high}], got {value}")
         return value
     parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
     return parse
@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--preset", choices=sorted(PRESETS), help="shipped scene preset")
     source.add_argument("--spec", help="scene spec file (key = value lines)")
-    p.add_argument("--seed", type=_number(int, 0), default=None, help="override the rng seed")
+    p.add_argument("--seed", type=_number(int, 0, 2 ** 64 - 1), default=None, help="override the rng seed")
     p.add_argument("--noise-sigma", type=_number(float, 0), default=None, help="override the noise level (K)")
     p.add_argument("--scene-output", required=True, help="GMS1 path for the channels")
     p.add_argument("--volume-output", required=True, help="GMSV path for the hydrometeors")
@@ -123,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("truth-mask", help="derive the cloud truth mask from a hydrometeor volume")
     p.add_argument("--input", required=True, help="GMSV volume")
-    p.add_argument("--threshold", type=_number(float), default=1e-6, help="mixing-ratio threshold (kg/kg)")
+    p.add_argument("--threshold", type=_number(float), default=MIXING_RATIO_THRESHOLD,
+                   help="mixing-ratio threshold (kg/kg)")
     p.add_argument("--output", required=True, help="GMS1 path for the mask")
     p.set_defaults(func=_cmd_truth_mask)
 

@@ -239,6 +239,7 @@ def read_raster_file(path) -> MultiChannelImage:
     ids, planes = _read_gms1(path, DTYPE_F32, "an f32 image")
     channels = []
     for cid, plane in zip(ids, planes):
+        # a signalling NaN cast to float64 warns; scanning first keeps that a FormatError
         if not np.all(np.isfinite(plane)):
             raise FormatError(f"non-finite payload values in channel {cid!r}")
         channels.append((cid, Raster2D(plane, Units.KELVIN)))
@@ -247,9 +248,9 @@ def read_raster_file(path) -> MultiChannelImage:
 
 @_reader
 def read_segment_map(path) -> SegmentMap:
-    """Read a GMS1 u32 label file as a SegmentMap (0 = clear allowed)."""
+    """Read a GMS1 u32 label file as a SegmentMap (0 = unlabeled)."""
     _, (labels,) = _read_gms1(path, DTYPE_U32, "a u32 segment", "labels")
-    return SegmentMap(labels, allow_zero=True)
+    return SegmentMap(labels)
 
 
 @_reader

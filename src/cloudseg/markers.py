@@ -27,7 +27,6 @@ class OtsuResult:
 
     threshold: float
     between_class_variance: float
-    histogram_bins: int
 
 
 def otsu_threshold(field: Raster2D, bins: int = 256) -> OtsuResult:
@@ -66,7 +65,6 @@ def otsu_threshold(field: Raster2D, bins: int = 256) -> OtsuResult:
     return OtsuResult(
         threshold=float(edges[split + 1]),
         between_class_variance=float(variance[split]),
-        histogram_bins=int(bins),
     )
 
 

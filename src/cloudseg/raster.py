@@ -5,7 +5,8 @@ and read-only, so instances can be shared freely across threads.
 Raster2D, CloudMask and HydrometeorVolume keep an input array that
 already has the stored dtype and layout, which leaves the caller's array
 read-only too. Constructors validate invariants loudly; nothing is
-clamped or masked silently.
+clamped or masked silently. SegmentMap is the one label-map type, with
+0 as unlabeled; MarkerMap is an alias of it.
 """
 
 from dataclasses import dataclass, field
@@ -126,84 +127,43 @@ class StructuringElement:
             raise ValueError(f"radius must be a non-negative integer, got {self.radius!r}")
         object.__setattr__(self, "radius", int(self.radius))
 
-    @property
-    def size(self) -> int:
-        return 2 * self.radius + 1
-
-
-def _validate_labels(labels, kind, allow_zero):
-    lab = np.asarray(labels)
-    if lab.ndim != 2:
-        raise ValueError(f"{kind} expects a 2D label array, got ndim={lab.ndim}")
-    if not np.issubdtype(lab.dtype, np.integer):
-        raise ValueError(f"{kind} labels must be integers, got {lab.dtype}")
-    if lab.min() < 0 or lab.max() > np.iinfo(np.int32).max:  # before the cast can wrap
-        raise ValueError(f"{kind} labels must be non-negative int32 values")
-    lab = lab.astype(np.int32)
-    k = int(lab.max())
-    if not allow_zero and k < 1:
-        raise ValueError(f"{kind} must contain at least one positive label")
-    if not allow_zero and (lab == 0).any():
-        raise ValueError(f"{kind} must assign a positive label to every pixel")
-    if k <= lab.size:
-        seen = np.flatnonzero(np.bincount(lab.ravel(), minlength=k + 1))
-    else:  # cannot be consecutive, and k may be huge: no array of size k
-        seen = np.unique(lab)
-    seen = seen[seen > 0]
-    if seen.size < k:
-        # the first 10 absent labels all lie in 1..seen.size + 10
-        upto = np.arange(1, min(k, seen.size + 10) + 1)
-        missing = upto[~np.isin(upto, seen)][:10].tolist()
-        more = f" and {k - seen.size - 10} more" if k - seen.size > 10 else ""
-        raise ValueError(f"{kind} labels must be consecutive 1..K, missing {missing}{more}")
-    return lab, k
-
-
-@dataclass(frozen=True)
-class MarkerMap:
-    """Integer-labeled seed components: 0 = non-seed, 1..K = seeds.
-
-    Label consecutiveness is validated here; the single-8-connected-component
-    property of each label is guaranteed by the producers (generate_markers)
-    and checked by the test suite's brute-force flood oracle.
-    """
-
-    labels: np.ndarray
-
-    def __post_init__(self):
-        lab, _ = _validate_labels(self.labels, "MarkerMap", allow_zero=True)
-        object.__setattr__(self, "labels", _freeze(lab))
-
-    @property
-    def count(self) -> int:
-        return int(self.labels.max())
-
-    @property
-    def height(self) -> int:
-        return self.labels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.labels.shape[1]
-
-    @property
-    def shape(self) -> tuple:
-        return self.labels.shape
-
 
 @dataclass(frozen=True)
 class SegmentMap:
-    """Labeled partition of the grid.
+    """2D map of consecutive labels 1..K; 0 means unlabeled.
 
-    Watershed output labels every pixel 1..K. Threshold/region-growing
-    output may additionally use 0 for clear sky (``allow_zero=True``).
+    The one label-map type: watershed markers (0 = non-seed), watershed
+    output (every pixel 1..K) and threshold patches (0 = clear sky).
+    ``MarkerMap`` is another name for this class. Labels must be
+    non-negative int32 values with every label 1..K present; K may be 0.
+    The single-8-connected-component property of each marker is
+    guaranteed by the producers (generate_markers) and checked by the
+    test suite's brute-force flood oracle.
     """
 
     labels: np.ndarray
-    allow_zero: bool = False
 
     def __post_init__(self):
-        lab, _ = _validate_labels(self.labels, "SegmentMap", allow_zero=self.allow_zero)
+        lab = np.asarray(self.labels)
+        if lab.ndim != 2:
+            raise ValueError(f"SegmentMap expects a 2D label array, got ndim={lab.ndim}")
+        if not np.issubdtype(lab.dtype, np.integer):
+            raise ValueError(f"SegmentMap labels must be integers, got {lab.dtype}")
+        if lab.min() < 0 or lab.max() > np.iinfo(np.int32).max:  # before the cast can wrap
+            raise ValueError("SegmentMap labels must be non-negative int32 values")
+        lab = lab.astype(np.int32)
+        k = int(lab.max())
+        if k <= lab.size:
+            seen = np.flatnonzero(np.bincount(lab.ravel(), minlength=k + 1))
+        else:  # cannot be consecutive, and k may be huge: no array of size k
+            seen = np.unique(lab)
+        seen = seen[seen > 0]
+        if seen.size < k:
+            # the first 10 absent labels all lie in 1..seen.size + 10
+            upto = np.arange(1, min(k, seen.size + 10) + 1)
+            missing = upto[~np.isin(upto, seen)][:10].tolist()
+            more = f" and {k - seen.size - 10} more" if k - seen.size > 10 else ""
+            raise ValueError(f"SegmentMap labels must be consecutive 1..K, missing {missing}{more}")
         object.__setattr__(self, "labels", _freeze(lab))
 
     @property
@@ -221,6 +181,9 @@ class SegmentMap:
     @property
     def shape(self) -> tuple:
         return self.labels.shape
+
+
+MarkerMap = SegmentMap
 
 
 @dataclass(frozen=True)

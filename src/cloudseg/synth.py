@@ -27,13 +27,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .raster import HYDROMETEOR_SPECIES, HydrometeorVolume, MultiChannelImage, Raster2D, Units
+from .verification import MIXING_RATIO_THRESHOLD
 
 CHANNEL_IR = "ir_window"
 CHANNEL_WV = "water_vapor"
 KNOWN_CHANNELS = (CHANNEL_IR, CHANNEL_WV)
 
 TRUTH_DEPRESSION_K = 2.0          # noiseless depression marking cloud support
-MIXING_RATIO_FLOOR = 1e-6         # kg/kg; peaks must clear this for the truth rule
 WV_OFFSET_K = 10.0
 WV_DAMPING = 0.6
 WV_SMOOTH_SIGMA = 2.0
@@ -65,9 +65,9 @@ class CloudSpec:
             raise ValueError(f"radius_px must be positive, got {self.radius_px}")
         if self.profile != "gaussian":
             raise ValueError(f"unsupported profile {self.profile!r}")
-        if self.hydrometeor_peak <= MIXING_RATIO_FLOOR:
+        if self.hydrometeor_peak <= MIXING_RATIO_THRESHOLD:
             raise ValueError(
-                f"hydrometeor_peak must exceed {MIXING_RATIO_FLOOR} kg/kg for the "
+                f"hydrometeor_peak must exceed {MIXING_RATIO_THRESHOLD} kg/kg for the "
                 f"truth rule to register the cloud, got {self.hydrometeor_peak}"
             )
 

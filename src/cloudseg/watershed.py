@@ -76,13 +76,6 @@ def _boundary_counts(labels: np.ndarray) -> dict:
     return counts
 
 
-def _compact(labels: np.ndarray, allow_zero: bool) -> SegmentMap:
-    """Renumber surviving labels to 1..K' preserving ascending order."""
-    keep = np.bincount(labels.ravel()) > 0
-    keep[0] = False
-    return SegmentMap((np.cumsum(keep, dtype=np.int32) * keep)[labels], allow_zero=allow_zero)
-
-
 def merge_small_regions(seg: SegmentMap, min_area: int = 1) -> SegmentMap:
     """Absorb regions smaller than min_area into their dominant neighbour.
 
@@ -91,8 +84,9 @@ def merge_small_regions(seg: SegmentMap, min_area: int = 1) -> SegmentMap:
     boundary, measured in 8-adjacent pixel pairs (ties: lower label).
     Label 0, where present, is untouchable: an undersized region with no
     positive-label neighbour is removed to 0 instead. Merging stops when
-    at most one region is left. Survivors are recompacted to 1..K' in
-    ascending order, so min_area == 1 is the identity.
+    at most one region is left. Survivors are renumbered 1..K' in
+    ascending order; with nothing to merge (always so for min_area == 1)
+    seg itself is returned.
 
     The image is scanned once, into a region adjacency graph ({neighbour:
     npairs} per label) that each merge updates. This is exact because pair
@@ -105,12 +99,11 @@ def merge_small_regions(seg: SegmentMap, min_area: int = 1) -> SegmentMap:
     if min_area < 1:
         raise ValueError(f"min_area must be positive, got {min_area}")
     labels = seg.labels
-    allow_zero = bool((labels == 0).any())
-    top = int(labels.max())
+    top = seg.count
     areas = np.bincount(labels.ravel(), minlength=top + 1).tolist()
     heap = sorted((a, l) for l, a in enumerate(areas) if l and a < min_area)  # a valid heap
     if not heap:
-        return _compact(labels, allow_zero)
+        return seg
     adjacency = [{} for _ in range(top + 1)]
     for (a, b), c in _boundary_counts(labels).items():
         adjacency[a][b] = adjacency[b][a] = c
@@ -139,7 +132,9 @@ def merge_small_regions(seg: SegmentMap, min_area: int = 1) -> SegmentMap:
     remap = np.arange(top + 1, dtype=np.int32)
     for victim, target in reversed(merges):
         remap[victim] = remap[target]
-    return _compact(remap[labels], allow_zero)
+    keep = np.array(areas) > 0  # the survivors, and 0
+    keep[0] = False
+    return SegmentMap((np.cumsum(keep, dtype=np.int32) * keep)[remap][labels])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line surface: wiring, exit codes, determinism."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -11,19 +12,26 @@ import pytest
 import cloudseg
 from cloudseg import (
     PRESETS,
+    CcsConfig,
     CloudMask,
+    GradientConfig,
     MultiChannelImage,
     Raster2D,
     SceneSpec,
     Units,
+    classify_regions,
+    derive_truth_mask,
+    generate_markers,
     make_preset,
+    otsu_threshold,
     read_cloud_mask,
     read_raster_file,
     read_segment_map,
     write_raster_file,
     write_scene_spec,
 )
-from cloudseg.cli import main
+from cloudseg.cli import build_parser, main
+from cloudseg.verification import MIXING_RATIO_THRESHOLD
 
 
 def run(*args):
@@ -261,6 +269,7 @@ def mixed_inputs(tmp_path_factory):
 
 @pytest.mark.parametrize("command, flags", [
     pytest.param("synth", ["--preset", "mixed", "--noise-sigma", "nan"], id="synth-noise-nan"),
+    pytest.param("synth", ["--preset", "mixed", "--seed", 2 ** 64], id="synth-seed-over-64-bits"),
     pytest.param("truth-mask", ["--threshold", "nan"], id="truth-threshold-nan"),
     pytest.param("segment", ["--clear-sky-cutoff", "nan"], id="segment-cutoff-nan"),
     pytest.param("segment", ["--bins", "1"], id="segment-one-bin"),
@@ -283,6 +292,26 @@ def test_bad_value_is_usage_error(tmp_path, mixed_inputs, command, flags):
     }[command]
     assert run(command, *flags, *io) == 64
     assert list(out.iterdir()) == []
+
+
+def test_flag_defaults_are_the_library_defaults():
+    parser = build_parser()
+    io = ["--input", "x", "--segments-output", "s", "--mask-output", "m"]
+    segment = parser.parse_args(["segment", *io, "--stats-output", "c"])
+    ccs = parser.parse_args(["ccs", *io])
+    gradient = parser.parse_args(["gradient", "--input", "x", "--output", "g"])
+    truth = parser.parse_args(["truth-mask", "--input", "x", "--output", "t"])
+
+    def default(func, name):
+        return inspect.signature(func).parameters[name].default
+
+    assert gradient.scales == segment.scales == GradientConfig().n_scales
+    assert segment.bins == default(otsu_threshold, "bins")
+    assert segment.min_seed_area == default(generate_markers, "min_seed_area")
+    assert segment.clear_sky_cutoff == default(classify_regions, "clear_sky_cutoff")
+    assert ccs.levels == CcsConfig().threshold_levels
+    assert ccs.min_area == CcsConfig().min_area
+    assert truth.threshold == MIXING_RATIO_THRESHOLD == default(derive_truth_mask, "threshold")
 
 
 class TestAtomicOutputs:

@@ -344,7 +344,7 @@ def _valid_files():
     bt = rng.normal(260.0, 20.0, size=(2, 3)).astype(np.float32)
     image = MultiChannelImage((("ir", Raster2D(bt, Units.KELVIN)), ("wv", Raster2D(-bt, Units.KELVIN))))
     mask = CloudMask(rng.random((3, 2)) > 0.5)
-    seg = SegmentMap(np.array([[1, 1, 2], [3, 0, 2]]), allow_zero=True)
+    seg = SegmentMap(np.array([[1, 1, 2], [3, 0, 2]]))
     vol = HydrometeorVolume(("rain", "snow"), (rng.random((2, 2, 1, 2)) * 1e-5).astype(np.float32))
     return [encode_raster_file(image), encode_raster_file(mask), encode_raster_file(seg),
             encode_volume_file(vol)]

@@ -26,7 +26,6 @@ class TestOtsu:
         low = np.sum(values <= result.threshold)
         assert 0 < low < 100
         assert result.between_class_variance > 0
-        assert result.histogram_bins == 256
 
     def test_matches_exhaustive_search(self, rng):
         for _ in range(40):
@@ -150,7 +149,7 @@ class TestGenerateMarkers:
 
     def test_single_pixel_component_demoted(self):
         field = make_field(np.array([[0.0, 1.0], [1.0, 1.0]]))
-        fake = OtsuResult(threshold=0.5, between_class_variance=1.0, histogram_bins=2)
+        fake = OtsuResult(threshold=0.5, between_class_variance=1.0)
         with pytest.raises(NoSeedRegionsError, match="smaller"):
             generate_markers(field, fake, min_seed_area=2)
 
@@ -159,7 +158,7 @@ class TestGenerateMarkers:
         values[1:4, 1:4] = 0.0   # big seed block
         values[2, 7] = 0.0       # lone seed pixel, demoted
         field = make_field(values)
-        fake = OtsuResult(threshold=0.5, between_class_variance=1.0, histogram_bins=2)
+        fake = OtsuResult(threshold=0.5, between_class_variance=1.0)
         markers = generate_markers(field, fake, min_seed_area=4)
         assert markers.count == 1
         assert markers.labels[2, 7] == 0
@@ -171,7 +170,7 @@ class TestGenerateMarkers:
         values[1, 5] = 0.0       # component 2, demoted
         values[2:5, 8:11] = 0.0  # component 3, kept and renumbered to 2
         field = make_field(values)
-        fake = OtsuResult(threshold=0.5, between_class_variance=1.0, histogram_bins=2)
+        fake = OtsuResult(threshold=0.5, between_class_variance=1.0)
         markers = generate_markers(field, fake, min_seed_area=4)
         assert markers.count == 2
         assert markers.labels[1, 5] == 0

@@ -12,6 +12,7 @@ from cloudseg import (
     SegmentMap,
     StructuringElement,
     Units,
+    dilate,
 )
 
 
@@ -72,10 +73,14 @@ class TestMultiChannelImage:
 
 class TestStructuringElement:
     def test_radius_zero_is_valid(self):
-        assert StructuringElement(0).size == 1
+        assert StructuringElement(0).radius == 0
 
     def test_size(self):
-        assert StructuringElement(3).size == 7
+        # radius 3 spans a 7 x 7 window
+        spot = np.zeros((9, 9))
+        spot[4, 4] = 1.0
+        grown = dilate(Raster2D(spot), StructuringElement(np.int64(3))).values
+        assert grown.sum() == 49 and (grown[1:8, 1:8] == 1.0).all()
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -102,14 +107,10 @@ class TestLabelRasters:
             with pytest.raises(ValueError, match="non-negative"):
                 kind(np.array([[1, bad]]))
 
-    def test_segment_map_requires_full_partition_by_default(self):
-        with pytest.raises(ValueError, match="every pixel"):
-            SegmentMap(np.array([[0, 1], [1, 1]]))
-        SegmentMap(np.array([[0, 1], [1, 1]]), allow_zero=True)
-
-    def test_segment_map_rejects_empty_partition(self):
-        with pytest.raises(ValueError, match="at least one"):
-            SegmentMap(np.zeros((2, 2), dtype=int))
+    def test_segment_map_accepts_zero_as_unlabeled(self):
+        assert MarkerMap is SegmentMap
+        assert SegmentMap(np.array([[0, 1], [1, 1]])).count == 1
+        assert SegmentMap(np.zeros((2, 2), dtype=int)).count == 0
 
     def test_segment_map_rejects_float_labels(self):
         with pytest.raises(ValueError, match="integers"):

@@ -42,7 +42,7 @@ def random_partition(rng, h, w):
     present = present[present > 0]
     remap = np.zeros(int(raw.max()) + 1, dtype=np.int32)
     remap[present] = np.arange(1, len(present) + 1)
-    return SegmentMap(remap[raw], allow_zero=True)
+    return SegmentMap(remap[raw])
 
 
 def many_region_segmentation(n, k, seed):
@@ -194,7 +194,7 @@ class TestMergeSmallRegions:
         labels = np.zeros((5, 7), dtype=int)
         labels[1:4, 1:3] = 1
         labels[2, 5] = 2  # tiny patch surrounded by clear sky only
-        merged = merge_small_regions(SegmentMap(labels, allow_zero=True), min_area=3)
+        merged = merge_small_regions(SegmentMap(labels), min_area=3)
         assert merged.count == 1
         assert merged.labels[2, 5] == 0
         assert (merged.labels[1:4, 1:3] == 1).all()
@@ -242,7 +242,7 @@ class TestClassifyRegions:
         assert not stats[1].is_cloud
 
     def test_label_zero_stays_clear(self):
-        seg = SegmentMap(np.array([[0, 1]]), allow_zero=True)
+        seg = SegmentMap(np.array([[0, 1]]))
         bt = make_bt(np.array([[200.0, 200.0]]))
         mask, stats = classify_regions(seg, bt, make_field(np.zeros(seg.shape)))
         np.testing.assert_array_equal(mask.flags, [[False, True]])
