@@ -21,7 +21,7 @@ from .formats import (
     FormatError,
     read_cloud_mask,
     read_raster_file,
-    read_volume_file,  # unused: perfbench/spans.py wraps it by this name until ROADMAP item 5
+    read_volume_file,  # unused: perfbench/spans.py wraps it by this name until ROADMAP item 1
     read_volume_levels,
     write_raster_file,
     write_volume_file,

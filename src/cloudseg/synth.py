@@ -52,7 +52,6 @@ class CloudSpec:
     center: tuple
     radius_px: float
     min_bt: float
-    profile: str = "gaussian"
     hydrometeor_peak: float = 2e-4
 
     def __post_init__(self):
@@ -63,8 +62,6 @@ class CloudSpec:
         object.__setattr__(self, "hydrometeor_peak", float(self.hydrometeor_peak))
         if self.radius_px <= 0:
             raise ValueError(f"radius_px must be positive, got {self.radius_px}")
-        if self.profile != "gaussian":
-            raise ValueError(f"unsupported profile {self.profile!r}")
         if self.hydrometeor_peak <= MIXING_RATIO_THRESHOLD:
             raise ValueError(
                 f"hydrometeor_peak must exceed {MIXING_RATIO_THRESHOLD} kg/kg for the "
@@ -100,8 +97,8 @@ class SceneSpec:
         for ch in self.channels:
             if ch not in KNOWN_CHANNELS:
                 raise ValueError(f"unknown channel {ch!r}, expected subset of {KNOWN_CHANNELS}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and non-negative, got {self.noise_sigma}")
         if not isinstance(self.rng_seed, (int, np.integer)) or not 0 <= int(self.rng_seed) < 2 ** 64:
             raise ValueError(f"rng_seed must be a 64-bit unsigned integer, got {self.rng_seed!r}")
         object.__setattr__(self, "rng_seed", int(self.rng_seed))
@@ -128,6 +125,23 @@ def _cloud_window(cloud: CloudSpec, depth: float, height: int, width: int):
     return r0, r1, c0, c1
 
 
+def _gaussian_blur(values: np.ndarray) -> np.ndarray:
+    """scipy.ndimage.gaussian_filter(values, WV_SMOOTH_SIGMA) bit for bit: correlate1d's
+    terms in its order. Radius int(4 sigma + 0.5), "reflect" borders (numpy's
+    "symmetric"), the centre term, then the pairs from the outermost in."""
+    r = int(4.0 * WV_SMOOTH_SIGMA + 0.5)
+    weights = np.exp(-0.5 / (WV_SMOOTH_SIGMA * WV_SMOOTH_SIGMA) * np.arange(-r, r + 1) ** 2)
+    weights = weights / weights.sum()
+    for _ in range(2):  # axis 0, then axis 1 through the transpose
+        n = values.shape[0]
+        padded = np.pad(values, ((r, r), (0, 0)), mode="symmetric")
+        acc = padded[r:r + n] * weights[r]
+        for j in range(r, 0, -1):
+            acc += (padded[r - j:r - j + n] + padded[r + j:r + j + n]) * weights[r + j]
+        values = acc.T
+    return values
+
+
 def generate_scene(spec: SceneSpec):
     """Render the scene.
 
@@ -136,9 +150,6 @@ def generate_scene(spec: SceneSpec):
         spec order (kelvin) and the 5-level, 5-species volume. Identical
         specs produce bit-identical results.
     """
-    # imported here so that only scene rendering pays scipy's import time
-    from scipy.ndimage import gaussian_filter
-
     h, w = spec.height, spec.width
     bg = spec.background_bt
     depression = np.zeros((h, w))
@@ -173,7 +184,7 @@ def generate_scene(spec: SceneSpec):
         if name == CHANNEL_IR:
             channels.append((name, Raster2D(ir, Units.KELVIN)))
         else:
-            wv = (bg + WV_OFFSET_K) - WV_DAMPING * gaussian_filter(depression, WV_SMOOTH_SIGMA)
+            wv = (bg + WV_OFFSET_K) - WV_DAMPING * _gaussian_blur(depression)
             channels.append((name, Raster2D(wv, Units.KELVIN)))
 
     return MultiChannelImage(tuple(channels)), HydrometeorVolume(HYDROMETEOR_SPECIES, volume)
@@ -320,7 +331,7 @@ def two_cloud_gap_scene() -> SceneSpec:
 # flat key = value scene-spec files
 # ---------------------------------------------------------------------------
 
-_CLOUD_FIELDS = ("center_row", "center_col", "radius_px", "min_bt", "profile", "hydrometeor_peak")
+_CLOUD_FIELDS = ("center_row", "center_col", "radius_px", "min_bt", "hydrometeor_peak")
 
 
 def write_scene_spec(spec: SceneSpec, path) -> None:
@@ -338,7 +349,6 @@ def write_scene_spec(spec: SceneSpec, path) -> None:
         lines.append(f"cloud.{i}.center_col = {cloud.center[1]!r}")
         lines.append(f"cloud.{i}.radius_px = {cloud.radius_px!r}")
         lines.append(f"cloud.{i}.min_bt = {cloud.min_bt!r}")
-        lines.append(f"cloud.{i}.profile = {cloud.profile}")
         lines.append(f"cloud.{i}.hydrometeor_peak = {cloud.hydrometeor_peak!r}")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -384,7 +394,6 @@ def read_scene_spec(path) -> SceneSpec:
             center=(float(fields_i["center_row"]), float(fields_i["center_col"])),
             radius_px=float(fields_i["radius_px"]),
             min_bt=float(fields_i["min_bt"]),
-            profile=fields_i.get("profile", "gaussian"),
             hydrometeor_peak=float(fields_i.get("hydrometeor_peak", 2e-4)),
         ))
     return SceneSpec(

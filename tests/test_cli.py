@@ -74,6 +74,20 @@ class TestSynth:
         img = read_raster_file(scene)
         assert (img.height, img.width) == (24, 32)
 
+    @pytest.mark.parametrize("line", ["noise_sigma = nan", "cloud.0.profile = gaussian"],
+                             ids=["nan-noise", "profile-key"])
+    def test_bad_spec_file_exits_2(self, tmp_path, line):
+        spec_path = tmp_path / "scene.spec"
+        spec_path.write_text(
+            "width = 8\nheight = 6\ncloud.0.center_row = 3\ncloud.0.center_col = 4\n"
+            f"cloud.0.radius_px = 1.5\ncloud.0.min_bt = 260\n{line}\n"
+        )
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run("synth", "--spec", spec_path, "--scene-output", out / "s.gms1",
+                   "--volume-output", out / "v.gmsv") == 2
+        assert list(out.iterdir()) == []
+
     def test_seed_override_changes_noise(self, tmp_path):
         a, _ = synth(tmp_path, seed=1, stem="a")
         b, _ = synth(tmp_path, seed=2, stem="b")
@@ -373,8 +387,7 @@ _CHILD = (
     ("cloudseg", None, {"numpy_on_import": False, "blas_threads": None}),
     # the library never sets the BLAS default; only the entry point does
     ("cloudseg.cli", None, {"numpy_on_import": True, "blas_threads": None}),
-    # scipy takes longer to import than these commands take to run; only
-    # synth renders with it, so no other command may load it
+    # the runtime needs numpy alone: no command loads scipy, synth included
     ("cloudseg.__main__", None, {"numpy_on_import": False, "blas_threads": "1"}),
     ("cloudseg.__main__", "3", {"numpy_on_import": False, "blas_threads": "3"}),
 ], ids=["package-loads-no-numpy", "cli-sets-no-blas-default", "entry-defaults-blas-to-1",
@@ -383,9 +396,12 @@ def test_child_process(tmp_path, module, blas_threads, expected):
     run_commands = module == "cloudseg.__main__"
     commands = []
     if run_commands:
-        scene, volume = synth(tmp_path)
+        scene, volume = tmp_path / "scene.gms1", tmp_path / "scene.gmsv"
         out = tmp_path / "out"
         commands = [
+            # wyoming_like renders the water-vapour channel, the one blurred band
+            ["synth", "--preset", "wyoming_like", "--seed", "42",
+             "--scene-output", scene, "--volume-output", volume],
             ["gradient", "--input", scene, "--output", f"{out}-gradient.gms1"],
             ["segment", "--input", scene, "--segments-output", f"{out}-seg.gms1",
              "--mask-output", f"{out}-mask.gms1", "--stats-output", f"{out}-stats.csv"],

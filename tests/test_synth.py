@@ -20,7 +20,7 @@ from cloudseg import (
     two_cloud_gap_scene,
     write_scene_spec,
 )
-from cloudseg.synth import TRUTH_DEPRESSION_K
+from cloudseg.synth import TRUTH_DEPRESSION_K, WV_SMOOTH_SIGMA, _gaussian_blur
 
 
 def single_cloud_spec(min_bt=265.0, noise=0.0, **kw):
@@ -83,11 +83,13 @@ class TestGeneration:
 
     def test_water_vapor_construction(self):
         from scipy.ndimage import gaussian_filter
-        spec = single_cloud_spec(noise=0.0, channels=("ir_window", "water_vapor"))
+        # on a 0 K background the noiseless IR channel is exactly minus the
+        # depression (290 - (290 - d) may round), so the check can be exact
+        spec = single_cloud_spec(min_bt=-25.0, channels=("ir_window", "water_vapor"), background_bt=0.0)
         img, _ = generate_scene(spec)
-        depression = 290.0 - img.raster("ir_window").values
-        expected = 300.0 - 0.6 * gaussian_filter(depression, 2.0)
-        np.testing.assert_allclose(img.raster("water_vapor").values, expected, atol=1e-9)
+        depression = -img.raster("ir_window").values
+        expected = 10.0 - 0.6 * gaussian_filter(depression, 2.0)
+        np.testing.assert_array_equal(img.raster("water_vapor").values, expected)
 
     def test_volume_vertical_profile_is_triangular(self):
         _, vol = generate_scene(single_cloud_spec())
@@ -96,6 +98,14 @@ class TestGeneration:
         peak = column[2]
         np.testing.assert_allclose(column[1], peak / 2)
         np.testing.assert_allclose(column[0], 0.0)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 3), (17, 40), (64, 64), (300, 211), (512, 512)])
+def test_blur_equals_scipy_bit_for_bit(shape):
+    # sides shorter than the kernel radius (8) exercise repeated reflection
+    from scipy.ndimage import gaussian_filter
+    values = np.random.default_rng(shape[0] * 1000 + shape[1]).normal(0.0, 10.0, size=shape)
+    np.testing.assert_array_equal(_gaussian_blur(values), gaussian_filter(values, WV_SMOOTH_SIGMA))
 
 
 class TestValidation:
@@ -117,13 +127,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown channel"):
             SceneSpec(width=8, height=8, channels=("visible",))
 
-    def test_profile_enum(self):
-        with pytest.raises(ValueError, match="profile"):
-            CloudSpec(center=(1.0, 1.0), radius_px=2.0, min_bt=260.0, profile="cone")
-
     def test_negative_noise(self):
         with pytest.raises(ValueError, match="noise"):
             SceneSpec(width=8, height=8, noise_sigma=-0.1)
+
+    @pytest.mark.parametrize("noise", [math.nan, math.inf])
+    def test_non_finite_noise(self, noise):
+        with pytest.raises(ValueError, match="noise"):
+            SceneSpec(width=8, height=8, noise_sigma=noise)
 
 
 class TestPresets:
