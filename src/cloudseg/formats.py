@@ -115,14 +115,15 @@ def write_raster_file(payload, path) -> None:
 
 
 def _volume_chunks(vol: HydrometeorVolume):
-    """The GMSV file in pieces: the header with the species ids, then one
-    level at a time, so a write holds one f32 level, not the whole payload."""
+    """The GMSV file in pieces: the header bytes with the species ids, then
+    one C-contiguous f32 array per level (bytes.join and file.write take it
+    as a buffer), so a write holds one f32 level, not the whole payload."""
     yield MAGIC_VOLUME + struct.pack(
         "<BBHIIII", VERSION, DTYPE_F32, 0, vol.width, vol.height, vol.levels, len(vol.species)
     ) + b"".join(_pack_id(s) for s in vol.species)
     # payload is level-major: for each level, one plane per species
     for k in range(vol.levels):
-        yield vol.values[:, k].astype(_NP_DTYPES[DTYPE_F32]).tobytes()
+        yield vol.values[:, k].astype(_NP_DTYPES[DTYPE_F32], order="C")
 
 
 def encode_volume_file(vol: HydrometeorVolume) -> bytes:

@@ -14,6 +14,22 @@ a single broad Gaussian has its maximum-gradient ring far inside its
 truth contour, which no boundary-seeking segmentation can recover, while
 a plateau with steep rims keeps the two aligned.
 
+Clouds are rendered a run at a time. A run is a stretch of consecutive
+clouds that share radius_px, depth, hydrometeor_peak, warm/cold species
+split and window shape (every deck() lattice is one); it is split so that
+one stack holds at most _RUN_ENTRIES window pixels. Each run is evaluated
+as one (m, rows, cols) Gaussian stack and scattered into flat depression
+and per-species plume planes with np.add.at, cloud-major, runs in spec
+order. This gives the bytes of adding one cloud's window at a time:
+np.add.at is unbuffered and applies its entries in order, and a cloud
+touches a pixel at most once, so every pixel still sums its clouds in
+spec order starting from 0.0. Each per-cloud scalar is the one a
+cloud-at-a-time loop computes: the window comes from Python math per
+cloud (np.log may differ from libm by an ulp and move a window edge),
+depth is background_bt - min_bt, and the denominator is
+2.0 * radius_px ** 2. Partial sums (bincount) are never added into a
+plane, since that would change how each pixel's sum associates.
+
 The water-vapor channel is a smoothed (sigma 2 px), damped (factor 0.6)
 copy of the total depression field offset +10 K; the constants exist only
 to give multi-channel fusion a genuinely distinct second band. Noise is
@@ -21,7 +37,10 @@ drawn from a counter-based Philox generator keyed on rng_seed and applied
 to the IR window channel only.
 """
 
+import functools
+import itertools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,6 +61,7 @@ _WARM_SPLIT = {"cloud_water": 0.6, "rain": 0.4}
 _COLD_SPLIT = {"cloud_ice": 0.5, "snow": 0.3, "graupel": 0.2}
 _COLD_TOP_BT = 253.0
 _TAIL_CUTOFF_K = 1e-6             # gaussian tail below this is not evaluated
+_RUN_ENTRIES = 2 ** 17            # window pixels one stacked run renders at most
 
 
 @dataclass(frozen=True)
@@ -60,8 +80,22 @@ class CloudSpec:
         object.__setattr__(self, "radius_px", float(self.radius_px))
         object.__setattr__(self, "min_bt", float(self.min_bt))
         object.__setattr__(self, "hydrometeor_peak", float(self.hydrometeor_peak))
-        if self.radius_px <= 0:
-            raise ValueError(f"radius_px must be positive, got {self.radius_px}")
+        for name, value in (("center", self.center[0]), ("center", self.center[1]),
+                            ("radius_px", self.radius_px), ("min_bt", self.min_bt),
+                            ("hydrometeor_peak", self.hydrometeor_peak)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        # the Gaussian's denominator as rendered; a normal float keeps every
+        # in-window dist2 / denominator finite
+        try:
+            denominator = 2.0 * self.radius_px ** 2
+        except OverflowError:
+            denominator = math.inf
+        if not (self.radius_px > 0 and sys.float_info.min <= denominator < math.inf):
+            raise ValueError(
+                f"radius_px must be positive with 2 * radius_px ** 2 a finite normal float, "
+                f"got {self.radius_px}"
+            )
         if self.hydrometeor_peak <= MIXING_RATIO_THRESHOLD:
             raise ValueError(
                 f"hydrometeor_peak must exceed {MIXING_RATIO_THRESHOLD} kg/kg for the "
@@ -90,6 +124,8 @@ class SceneSpec:
         object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
         if self.width < 1 or self.height < 1:
             raise ValueError(f"scene dimensions must be positive: {self.width}x{self.height}")
+        if not math.isfinite(self.background_bt):
+            raise ValueError(f"background_bt must be finite, got {self.background_bt}")
         if not self.channels:
             raise ValueError("scene needs at least one channel")
         if len(set(self.channels)) != len(self.channels):
@@ -108,9 +144,10 @@ class SceneSpec:
             row, col = cloud.center
             if not (0 <= row <= self.height - 1 and 0 <= col <= self.width - 1):
                 raise ValueError(f"clouds[{i}] centre {cloud.center} outside {self.height}x{self.width} grid")
-            if cloud.min_bt >= self.background_bt:
+            if not 0 < self.background_bt - cloud.min_bt < math.inf:
                 raise ValueError(
-                    f"clouds[{i}] min_bt {cloud.min_bt} must be below background {self.background_bt}"
+                    f"clouds[{i}] min_bt {cloud.min_bt} must be below background {self.background_bt} "
+                    f"by a finite depth"
                 )
 
 
@@ -142,6 +179,50 @@ def _gaussian_blur(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _render_run(depression, plume, key, corners, centres, width: int) -> None:
+    """Add one run of m clouds, given their window corners and centres as
+    (m, 2) arrays, into the flat planes, cloud-major."""
+    radius, depth, peak, warm, n_rows, n_cols = key
+    rows = corners[:, :1] + np.arange(n_rows)   # (m, n_rows)
+    cols = corners[:, 1:] + np.arange(n_cols)   # (m, n_cols)
+    dist2 = ((rows - centres[:, :1]) ** 2)[:, :, None] + ((cols - centres[:, 1:]) ** 2)[:, None, :]
+    local = (depth * np.exp(-dist2 / (2.0 * radius ** 2))).ravel()
+    pixels = ((rows * width)[:, :, None] + cols[:, None, :]).ravel()
+    np.add.at(depression, pixels, local)
+    support = pixels[local > TRUTH_DEPRESSION_K]
+    for name, fraction in (_WARM_SPLIT if warm else _COLD_SPLIT).items():
+        np.add.at(plume[HYDROMETEOR_SPECIES.index(name)], support, peak * fraction)
+
+
+def _render(spec: SceneSpec):
+    """The noiseless depression (height, width) and the column peak of each
+    species (species, height, width), summed over the clouds in spec order."""
+    h, w = spec.height, spec.width
+    keys, corners, centres = [], [], []
+    for cloud in spec.clouds:
+        depth = spec.background_bt - cloud.min_bt
+        if depth <= _TAIL_CUTOFF_K:
+            continue
+        r0, r1, c0, c1 = _cloud_window(cloud, depth, h, w)
+        warm = cloud.min_bt > _COLD_TOP_BT
+        keys.append((cloud.radius_px, depth, cloud.hydrometeor_peak, warm, r1 - r0, c1 - c0))
+        corners.append((r0, c0))
+        centres.append(cloud.center)
+    corners = np.array(corners, dtype=np.intp).reshape(-1, 2)
+    centres = np.array(centres, dtype=np.float64).reshape(-1, 2)
+    depression = np.zeros(h * w)
+    plume = np.zeros((len(HYDROMETEOR_SPECIES), h * w))
+    start = 0
+    for key, run in itertools.groupby(keys):
+        end = start + sum(1 for _ in run)
+        step = max(1, _RUN_ENTRIES // (key[4] * key[5]))
+        for i in range(start, end, step):
+            j = min(i + step, end)
+            _render_run(depression, plume, key, corners[i:j], centres[i:j], w)
+        start = end
+    return depression.reshape(h, w), plume.reshape(-1, h, w)
+
+
 def generate_scene(spec: SceneSpec):
     """Render the scene.
 
@@ -150,27 +231,8 @@ def generate_scene(spec: SceneSpec):
         spec order (kelvin) and the 5-level, 5-species volume. Identical
         specs produce bit-identical results.
     """
-    h, w = spec.height, spec.width
     bg = spec.background_bt
-    depression = np.zeros((h, w))
-    plume = np.zeros((len(HYDROMETEOR_SPECIES), h, w))  # column peak per species
-    species_index = {name: i for i, name in enumerate(HYDROMETEOR_SPECIES)}
-
-    for cloud in spec.clouds:
-        depth = bg - cloud.min_bt
-        if depth <= _TAIL_CUTOFF_K:
-            continue
-        r0, r1, c0, c1 = _cloud_window(cloud, depth, h, w)
-        rows = np.arange(r0, r1, dtype=np.float64)[:, None]
-        cols = np.arange(c0, c1, dtype=np.float64)[None, :]
-        cy, cx = cloud.center
-        dist2 = (rows - cy) ** 2 + (cols - cx) ** 2
-        local = depth * np.exp(-dist2 / (2.0 * cloud.radius_px ** 2))
-        depression[r0:r1, c0:c1] += local
-        support = local > TRUTH_DEPRESSION_K
-        split = _WARM_SPLIT if cloud.min_bt > _COLD_TOP_BT else _COLD_SPLIT
-        for name, fraction in split.items():
-            plume[species_index[name], r0:r1, c0:c1][support] += cloud.hydrometeor_peak * fraction
+    depression, plume = _render(spec)
     # the weights are 0, 1/2 and 1, so scaling the summed plume is exact
     volume = plume[:, None] * np.array(_VERTICAL_WEIGHTS)[:, None, None]
 
@@ -199,6 +261,7 @@ _DECK_SPACING = 3.0
 _DECK_SIGMA = 1.6
 
 
+@functools.cache
 def _lattice_gain() -> float:
     """Peak depression of an infinite lattice of unit Gaussians, i.e. how
     much neighbour overlap amplifies each element's individual depth."""
@@ -390,12 +453,15 @@ def read_scene_spec(path) -> SceneSpec:
         for required in ("center_row", "center_col", "radius_px", "min_bt"):
             if required not in fields_i:
                 raise ValueError(f"{path}: cloud.{i} missing {required!r}")
-        clouds.append(CloudSpec(
-            center=(float(fields_i["center_row"]), float(fields_i["center_col"])),
-            radius_px=float(fields_i["radius_px"]),
-            min_bt=float(fields_i["min_bt"]),
-            hydrometeor_peak=float(fields_i.get("hydrometeor_peak", 2e-4)),
-        ))
+        try:
+            clouds.append(CloudSpec(
+                center=(float(fields_i["center_row"]), float(fields_i["center_col"])),
+                radius_px=float(fields_i["radius_px"]),
+                min_bt=float(fields_i["min_bt"]),
+                hydrometeor_peak=float(fields_i.get("hydrometeor_peak", 2e-4)),
+            ))
+        except ValueError as exc:
+            raise ValueError(f"{path}: cloud.{i}: {exc}") from None
     return SceneSpec(
         width=int(scalars["width"]),
         height=int(scalars["height"]),

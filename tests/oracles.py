@@ -10,6 +10,11 @@ import heapq
 
 import numpy as np
 
+from cloudseg.raster import HYDROMETEOR_SPECIES
+from cloudseg.synth import (
+    _COLD_SPLIT, _COLD_TOP_BT, _TAIL_CUTOFF_K, _WARM_SPLIT, TRUTH_DEPRESSION_K, _cloud_window,
+)
+
 
 def window_max(values: np.ndarray, radius: int) -> np.ndarray:
     """Clipped-window maximum via per-pixel slicing."""
@@ -249,3 +254,31 @@ def truth_mask_reference(values: np.ndarray, threshold: float) -> np.ndarray:
     """Truth rule on a whole [species][level][row][col] volume: sum the
     species, then take each column's maximum over the levels."""
     return values.sum(axis=0).max(axis=0) > threshold
+
+
+def render_reference(spec):
+    """The synthetic scene's noiseless depression (height, width) and per-species
+    column peaks (species, height, width), one cloud at a time in spec order:
+    the loop `synth.generate_scene` ran before it rendered runs of clouds."""
+    h, w = spec.height, spec.width
+    bg = spec.background_bt
+    depression = np.zeros((h, w))
+    plume = np.zeros((len(HYDROMETEOR_SPECIES), h, w))  # column peak per species
+    species_index = {name: i for i, name in enumerate(HYDROMETEOR_SPECIES)}
+
+    for cloud in spec.clouds:
+        depth = bg - cloud.min_bt
+        if depth <= _TAIL_CUTOFF_K:
+            continue
+        r0, r1, c0, c1 = _cloud_window(cloud, depth, h, w)
+        rows = np.arange(r0, r1, dtype=np.float64)[:, None]
+        cols = np.arange(c0, c1, dtype=np.float64)[None, :]
+        cy, cx = cloud.center
+        dist2 = (rows - cy) ** 2 + (cols - cx) ** 2
+        local = depth * np.exp(-dist2 / (2.0 * cloud.radius_px ** 2))
+        depression[r0:r1, c0:c1] += local
+        support = local > TRUTH_DEPRESSION_K
+        split = _WARM_SPLIT if cloud.min_bt > _COLD_TOP_BT else _COLD_SPLIT
+        for name, fraction in split.items():
+            plume[species_index[name], r0:r1, c0:c1][support] += cloud.hydrometeor_peak * fraction
+    return depression, plume

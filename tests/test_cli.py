@@ -88,6 +88,29 @@ class TestSynth:
                    "--volume-output", out / "v.gmsv") == 2
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("cloud.0.radius_px", "inf", "radius_px"),
+        ("cloud.0.radius_px", "1e300", "radius_px"),
+        ("cloud.0.radius_px", "1e-200", "radius_px"),
+        ("cloud.0.radius_px", "nan", "radius_px"),
+        ("cloud.0.min_bt", "-inf", "min_bt"),
+        ("cloud.0.min_bt", "nan", "min_bt"),
+        ("cloud.0.center_row", "nan", "center"),
+        ("cloud.0.hydrometeor_peak", "inf", "hydrometeor_peak"),
+        ("background_bt", "inf", "background_bt"),
+    ])
+    def test_non_finite_or_overflowing_spec_field_exits_2(self, tmp_path, capsys, key, value, named):
+        fields = {"width": "8", "height": "6", "cloud.0.center_row": "3", "cloud.0.center_col": "4",
+                  "cloud.0.radius_px": "1.5", "cloud.0.min_bt": "260", key: value}
+        spec_path = tmp_path / "scene.spec"
+        spec_path.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run("synth", "--spec", spec_path, "--scene-output", out / "s.gms1",
+                   "--volume-output", out / "v.gmsv") == 2
+        assert list(out.iterdir()) == []
+        assert named in capsys.readouterr().err
+
     def test_seed_override_changes_noise(self, tmp_path):
         a, _ = synth(tmp_path, seed=1, stem="a")
         b, _ = synth(tmp_path, seed=2, stem="b")

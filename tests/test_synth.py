@@ -4,8 +4,11 @@ spec-file round trips."""
 import math
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cloudseg import synth
 from cloudseg import (
     CloudSpec,
     PRESETS,
@@ -20,7 +23,7 @@ from cloudseg import (
     two_cloud_gap_scene,
     write_scene_spec,
 )
-from cloudseg.synth import TRUTH_DEPRESSION_K, WV_SMOOTH_SIGMA, _gaussian_blur
+from cloudseg.synth import _TAIL_CUTOFF_K, TRUTH_DEPRESSION_K, WV_SMOOTH_SIGMA, _gaussian_blur
 
 
 def single_cloud_spec(min_bt=265.0, noise=0.0, **kw):
@@ -108,6 +111,99 @@ def test_blur_equals_scipy_bit_for_bit(shape):
     np.testing.assert_array_equal(_gaussian_blur(values), gaussian_filter(values, WV_SMOOTH_SIGMA))
 
 
+def scene_bytes(spec):
+    image, volume = generate_scene(spec)
+    return [raster.values.tobytes() for _, raster in image.channels] + [volume.values.tobytes()]
+
+
+def assert_renders_like_reference(spec):
+    """The run renderer's planes, and generate_scene's channel and volume bytes,
+    equal those of the one-cloud-at-a-time reference."""
+    expected = oracles.render_reference(spec)
+    assert [plane.tobytes() for plane in synth._render(spec)] == [plane.tobytes() for plane in expected]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(synth, "_render", lambda _: expected)
+        implied = scene_bytes(spec)
+    assert scene_bytes(spec) == implied
+
+
+def _border_rows(height, width):
+    """Identical clouds strung along each border, so every run is clipped."""
+    clouds = []
+    for col in range(2, width - 2, 3):
+        clouds += [CloudSpec((0.0, col), 1.6, 255.0), CloudSpec((height - 1.0, col), 1.6, 255.0)]
+    for row in range(2, height - 2, 3):
+        clouds += [CloudSpec((row, 0.0), 2.5, 220.0), CloudSpec((row, width - 1.0), 2.5, 220.0)]
+    corners = [(0.0, 0.0), (0.0, width - 1.0), (height - 1.0, 0.0), (height - 1.0, width - 1.0)]
+    return clouds + [CloudSpec(c, 4.0, 230.0) for c in corners]
+
+
+def _cutoff_clouds(bg):
+    """Clouds whose depth is one to three ulps either side of _TAIL_CUTOFF_K."""
+    centre = bg - _TAIL_CUTOFF_K
+    down, up = [centre], [centre]
+    for _ in range(3):
+        down.append(math.nextafter(down[-1], -math.inf))
+        up.append(math.nextafter(up[-1], math.inf))
+    min_bts = sorted(set(down + up))
+    depths = [bg - m for m in min_bts]
+    assert min(depths) <= _TAIL_CUTOFF_K < max(depths)
+    return [CloudSpec((5.0 + i, 3.5 + 2 * i), 1.6, m) for i, m in enumerate(min_bts)]
+
+
+_REFERENCE_CASES = {
+    **{name: make_preset(name, rng_seed=7) for name in sorted(PRESETS)},
+    "gap": two_cloud_gap_scene(),
+    "deck_512": SceneSpec(   # its big deck's run fills several 2 ** 17-entry stacks
+        width=512, height=520, channels=("ir_window", "water_vapor"), rng_seed=11,
+        clouds=tuple(deck((260.0, 250.0), 150.0, 262.0) + deck((90.0, 420.0), 40.0, 212.0)),
+    ),
+    "borders": SceneSpec(width=41, height=37, clouds=tuple(_border_rows(37, 41)),
+                         channels=("ir_window", "water_vapor")),
+    "one_by_one": SceneSpec(width=1, height=1, clouds=(CloudSpec((0.0, 0.0), 2.0, 250.0),)),
+    "one_by_one_empty": SceneSpec(width=1, height=1),
+    "no_clouds": SceneSpec(width=23, height=9, channels=("ir_window", "water_vapor")),
+    "tail_cutoff": SceneSpec(width=20, height=16, noise_sigma=0.0,
+                             clouds=tuple(_cutoff_clouds(290.0) + [CloudSpec((8.0, 8.0), 2.0, 250.0)])),
+    "window_covers_scene": SceneSpec(width=384, height=400, clouds=(CloudSpec((200.0, 190.0), 80.0, 215.0),),
+                                     channels=("ir_window", "water_vapor")),
+}
+
+
+class TestRunRendering:
+    @pytest.mark.parametrize("name", sorted(_REFERENCE_CASES))
+    def test_equals_one_cloud_at_a_time(self, name):
+        assert_renders_like_reference(_REFERENCE_CASES[name])
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(
+        size=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        groups=st.lists(st.tuples(
+            st.integers(1, 6),                                   # clouds in the group
+            st.sampled_from([0.6, 1.6, 2.5]),                    # radius_px
+            st.sampled_from([200.0, 240.0, 253.0, 254.0, 270.0, 289.5]),   # min_bt, cold and warm
+            st.sampled_from([2e-4, 3.5e-4]),                     # hydrometeor_peak
+            st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.booleans()),
+                     min_size=6, max_size=6),                    # positions, on the grid or not
+        ), max_size=8),
+        run_entries=st.sampled_from([1, 40, 2 ** 17]),
+    )
+    def test_random_runs_equal_reference(self, size, groups, run_entries):
+        height, width = size
+        clouds = []
+        for count, radius, min_bt, peak, positions in groups:
+            for u, v, on_grid in positions[:count]:
+                row, col = u * (height - 1), v * (width - 1)
+                if on_grid:
+                    row, col = float(round(row)), float(round(col))
+                clouds.append(CloudSpec((row, col), radius, min_bt, peak))
+        spec = SceneSpec(width=width, height=height, clouds=tuple(clouds),
+                         channels=("ir_window", "water_vapor"), noise_sigma=0.3, rng_seed=len(clouds))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(synth, "_RUN_ENTRIES", run_entries)
+            assert_renders_like_reference(spec)
+
+
 class TestValidation:
     def test_centre_outside_grid(self):
         with pytest.raises(ValueError, match="outside"):
@@ -122,6 +218,37 @@ class TestValidation:
     def test_peak_must_clear_truth_threshold(self):
         with pytest.raises(ValueError, match="hydrometeor_peak"):
             CloudSpec(center=(1.0, 1.0), radius_px=2.0, min_bt=260.0, hydrometeor_peak=1e-7)
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("center", dict(center=(math.nan, 1.0))),
+        ("center", dict(center=(1.0, math.inf))),
+        ("radius_px", dict(radius_px=math.inf)),
+        ("radius_px", dict(radius_px=math.nan)),
+        ("radius_px", dict(radius_px=1e300)),       # radius_px ** 2 overflows
+        ("radius_px", dict(radius_px=1e154)),       # 2 * radius_px ** 2 overflows
+        ("radius_px", dict(radius_px=1e-200)),      # radius_px ** 2 underflows to 0
+        ("radius_px", dict(radius_px=1e-160)),      # subnormal: dist2 / denominator overflows
+        ("radius_px", dict(radius_px=0.0)),
+        ("radius_px", dict(radius_px=-2.0)),
+        ("min_bt", dict(min_bt=-math.inf)),
+        ("min_bt", dict(min_bt=math.nan)),
+        ("hydrometeor_peak", dict(hydrometeor_peak=math.inf)),
+        ("hydrometeor_peak", dict(hydrometeor_peak=math.nan)),
+    ])
+    def test_non_finite_or_overflowing_cloud_field(self, field, kwargs):
+        args = dict(center=(1.0, 1.0), radius_px=2.0, min_bt=260.0) | kwargs
+        with pytest.raises(ValueError, match=field):
+            CloudSpec(**args)
+
+    @pytest.mark.parametrize("background", [math.inf, -math.inf, math.nan])
+    def test_non_finite_background(self, background):
+        with pytest.raises(ValueError, match="background_bt"):
+            SceneSpec(width=8, height=8, background_bt=background)
+
+    def test_depth_must_be_finite(self):
+        with pytest.raises(ValueError, match="below background"):
+            SceneSpec(width=8, height=8, background_bt=1e308,
+                      clouds=(CloudSpec(center=(1.0, 1.0), radius_px=2.0, min_bt=-1e308),))
 
     def test_unknown_channel(self):
         with pytest.raises(ValueError, match="unknown channel"):
