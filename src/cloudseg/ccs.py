@@ -6,7 +6,10 @@ up to a hard cap (253 K by default). Anything warmer than the cap is never
 claimed, which is exactly why warm clouds go undetected by this scheme.
 """
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .flood import priority_flood, seed_order
 from .markers import label_components
@@ -18,8 +21,9 @@ from .watershed import merge_small_regions
 class CcsConfig:
     """Threshold schedule and cleanup size for the region growing.
 
-    threshold_levels must strictly ascend; the last level is the hard cap
-    above which no pixel is ever claimed.
+    threshold_levels must be finite and strictly ascend; the last level is
+    the hard cap above which no pixel is ever claimed. min_area is a
+    positive integer.
     """
 
     threshold_levels: tuple = (220.0, 235.0, 253.0)
@@ -29,10 +33,12 @@ class CcsConfig:
         levels = tuple(float(t) for t in self.threshold_levels)
         if not levels:
             raise ValueError("need at least one threshold level")
+        if not all(map(math.isfinite, levels)):
+            raise ValueError(f"threshold levels must be finite: {levels}")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError(f"threshold levels must be strictly ascending: {levels}")
-        if self.min_area < 1:
-            raise ValueError(f"min_area must be positive, got {self.min_area}")
+        if not isinstance(self.min_area, (int, np.integer)) or self.min_area < 1:
+            raise ValueError(f"min_area must be a positive integer, got {self.min_area!r}")
         object.__setattr__(self, "threshold_levels", levels)
         object.__setattr__(self, "min_area", int(self.min_area))
 

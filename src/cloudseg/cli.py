@@ -62,12 +62,9 @@ def _number(kind, low=-math.inf, high=math.inf):
 
 def _level_list(text: str) -> tuple:
     try:
-        levels = tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad level list {text!r}, expected e.g. 220,235,253")
-    if not all(map(math.isfinite, levels)) or any(a >= b for a, b in zip(levels, levels[1:])):
-        raise argparse.ArgumentTypeError(f"levels must be finite and strictly ascending, got {text!r}")
-    return levels
+        return CcsConfig(threshold_levels=[float(part) for part in text.split(",")]).threshold_levels
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad level list {text!r}: {exc}")
 
 
 def _channel_list(text: str) -> tuple:

@@ -91,12 +91,21 @@ def _raster_header(dtype_code: int, width: int, height: int, count: int) -> byte
     return MAGIC_RASTER + struct.pack("<BBHIII", VERSION, dtype_code, 0, width, height, count)
 
 
+def _as_f32(values: np.ndarray, what: str) -> np.ndarray:
+    """values as C-contiguous little-endian f32; one beyond f32's range is a ValueError, not inf."""
+    with np.errstate(over="raise"):
+        try:
+            return values.astype(_NP_DTYPES[DTYPE_F32], order="C")
+        except FloatingPointError:
+            raise ValueError(f"{what} holds {np.abs(values).max():.6g}, beyond float32's range") from None
+
+
 def encode_raster_file(payload) -> bytes:
     """Serialize a MultiChannelImage, SegmentMap or CloudMask to GMS1 bytes."""
     if isinstance(payload, MultiChannelImage):
         head = _raster_header(DTYPE_F32, payload.width, payload.height, len(payload.channels))
         ids = b"".join(_pack_id(cid) for cid, _ in payload.channels)
-        body = b"".join(r.values.astype(_NP_DTYPES[DTYPE_F32]).tobytes() for _, r in payload.channels)
+        body = b"".join(_as_f32(r.values, f"channel {cid!r}").tobytes() for cid, r in payload.channels)
         return head + ids + body
     if isinstance(payload, SegmentMap):
         head = _raster_header(DTYPE_U32, payload.width, payload.height, 1)
@@ -123,7 +132,7 @@ def _volume_chunks(vol: HydrometeorVolume):
     ) + b"".join(_pack_id(s) for s in vol.species)
     # payload is level-major: for each level, one plane per species
     for k in range(vol.levels):
-        yield vol.values[:, k].astype(_NP_DTYPES[DTYPE_F32], order="C")
+        yield _as_f32(vol.values[:, k], f"level {k}")
 
 
 def encode_volume_file(vol: HydrometeorVolume) -> bytes:

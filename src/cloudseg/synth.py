@@ -394,33 +394,35 @@ def two_cloud_gap_scene() -> SceneSpec:
 # flat key = value scene-spec files
 # ---------------------------------------------------------------------------
 
+# SceneSpec's fields besides its clouds, in file order, each with the parser
+# of its value. A key left out of a file takes its SceneSpec/CloudSpec default.
+_SCALAR_KEYS = {
+    "width": int,
+    "height": int,
+    "background_bt": float,
+    "channels": lambda text: text.split(","),
+    "noise_sigma": float,
+    "rng_seed": int,
+}
 _CLOUD_FIELDS = ("center_row", "center_col", "radius_px", "min_bt", "hydrometeor_peak")
 
 
 def write_scene_spec(spec: SceneSpec, path) -> None:
     """Write a scene spec as one `key = value` per line."""
-    lines = [
-        f"width = {spec.width}",
-        f"height = {spec.height}",
-        f"background_bt = {spec.background_bt!r}",
-        f"channels = {','.join(spec.channels)}",
-        f"noise_sigma = {spec.noise_sigma!r}",
-        f"rng_seed = {spec.rng_seed}",
-    ]
+    scalars = {key: getattr(spec, key) for key in _SCALAR_KEYS}
+    scalars["channels"] = ",".join(spec.channels)
+    lines = [f"{key} = {value}" for key, value in scalars.items()]  # str(float) is its repr
     for i, cloud in enumerate(spec.clouds):
-        lines.append(f"cloud.{i}.center_row = {cloud.center[0]!r}")
-        lines.append(f"cloud.{i}.center_col = {cloud.center[1]!r}")
-        lines.append(f"cloud.{i}.radius_px = {cloud.radius_px!r}")
-        lines.append(f"cloud.{i}.min_bt = {cloud.min_bt!r}")
-        lines.append(f"cloud.{i}.hydrometeor_peak = {cloud.hydrometeor_peak!r}")
+        values = (*cloud.center, cloud.radius_px, cloud.min_bt, cloud.hydrometeor_peak)
+        lines += [f"cloud.{i}.{name} = {value!r}" for name, value in zip(_CLOUD_FIELDS, values)]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_scene_spec(path) -> SceneSpec:
-    """Parse a `key = value` scene-spec file (# starts a comment line)."""
-    scalars = {}
-    cloud_fields = {}
+    """Parse a `key = value` scene-spec file (# starts a comment line) in
+    which each key appears at most once."""
+    scalars, cloud_fields = {}, {}
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -428,46 +430,32 @@ def read_scene_spec(path) -> SceneSpec:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected `key = value`, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
+            key, _, value = (part.strip() for part in line.partition("="))
             if key.startswith("cloud."):
                 parts = key.split(".")
                 if len(parts) != 3 or not parts[1].isdigit() or parts[2] not in _CLOUD_FIELDS:
                     raise ValueError(f"{path}:{lineno}: bad cloud key {key!r}")
-                cloud_fields.setdefault(int(parts[1]), {})[parts[2]] = value
-            elif key in ("width", "height", "background_bt", "channels", "noise_sigma", "rng_seed"):
-                if key in scalars:
-                    raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-                scalars[key] = value
+                store, name = cloud_fields.setdefault(int(parts[1]), {}), parts[2]
+            elif key in _SCALAR_KEYS:
+                store, name = scalars, key
             else:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if name in store:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+            store[name] = value
     for required in ("width", "height"):
         if required not in scalars:
             raise ValueError(f"{path}: missing required key {required!r}")
     if sorted(cloud_fields) != list(range(len(cloud_fields))):
         raise ValueError(f"{path}: cloud indices must be 0..N-1, got {sorted(cloud_fields)}")
     clouds = []
-    for i in range(len(cloud_fields)):
-        fields_i = cloud_fields[i]
-        for required in ("center_row", "center_col", "radius_px", "min_bt"):
+    for i, fields_i in sorted(cloud_fields.items()):
+        for required in _CLOUD_FIELDS[:-1]:  # hydrometeor_peak has a default
             if required not in fields_i:
                 raise ValueError(f"{path}: cloud.{i} missing {required!r}")
         try:
-            clouds.append(CloudSpec(
-                center=(float(fields_i["center_row"]), float(fields_i["center_col"])),
-                radius_px=float(fields_i["radius_px"]),
-                min_bt=float(fields_i["min_bt"]),
-                hydrometeor_peak=float(fields_i.get("hydrometeor_peak", 2e-4)),
-            ))
+            values = {name: float(text) for name, text in fields_i.items()}
+            clouds.append(CloudSpec((values.pop("center_row"), values.pop("center_col")), **values))
         except ValueError as exc:
             raise ValueError(f"{path}: cloud.{i}: {exc}") from None
-    return SceneSpec(
-        width=int(scalars["width"]),
-        height=int(scalars["height"]),
-        clouds=tuple(clouds),
-        background_bt=float(scalars.get("background_bt", 290.0)),
-        channels=tuple(scalars.get("channels", CHANNEL_IR).split(",")),
-        noise_sigma=float(scalars.get("noise_sigma", 0.5)),
-        rng_seed=int(scalars.get("rng_seed", 0)),
-    )
+    return SceneSpec(clouds=tuple(clouds), **{key: _SCALAR_KEYS[key](text) for key, text in scalars.items()})

@@ -50,11 +50,12 @@ def watershed_from_markers(field: Raster2D, markers: MarkerMap) -> SegmentMap:
 # region merging
 # ---------------------------------------------------------------------------
 
-def _boundary_counts(labels: np.ndarray) -> dict:
-    """Count 8-adjacent pixel pairs between distinct regions.
+def _boundary_counts(labels: np.ndarray, top: int):
+    """Count 8-adjacent pixel pairs between distinct regions of labels 0..top.
 
-    Returns {(lo, hi): npairs} with lo < hi; pairs involving label 0 are
-    not recorded (clear sky is never a merge target).
+    Returns lists (lo, hi, npairs) with lo < hi, one entry per touching pair
+    of regions; pairs involving label 0 are not recorded (clear sky is
+    never a merge target).
     """
     slices = (
         (labels[:, :-1], labels[:, 1:]),    # east
@@ -62,18 +63,13 @@ def _boundary_counts(labels: np.ndarray) -> dict:
         (labels[:-1, :-1], labels[1:, 1:]),  # south-east
         (labels[:-1, 1:], labels[1:, :-1]),  # south-west
     )
-    counts = {}
+    codes = []
     for a, b in slices:
-        a = a.ravel()
-        b = b.ravel()
         diff = (a != b) & (a != 0) & (b != 0)
-        lo = np.minimum(a[diff], b[diff])
-        hi = np.maximum(a[diff], b[diff])
-        pairs, npairs = np.unique(np.stack([lo, hi], axis=1), axis=0, return_counts=True)
-        for (x, y), c in zip(pairs, npairs):
-            key = (int(x), int(y))
-            counts[key] = counts.get(key, 0) + int(c)
-    return counts
+        a, b = a[diff].astype(np.int64), b[diff]
+        codes.append(np.minimum(a, b) * (top + 1) + np.maximum(a, b))
+    codes, npairs = np.unique(np.concatenate(codes), return_counts=True)
+    return (codes // (top + 1)).tolist(), (codes % (top + 1)).tolist(), npairs.tolist()
 
 
 def merge_small_regions(seg: SegmentMap, min_area: int = 1) -> SegmentMap:
@@ -105,7 +101,7 @@ def merge_small_regions(seg: SegmentMap, min_area: int = 1) -> SegmentMap:
     if not heap:
         return seg
     adjacency = [{} for _ in range(top + 1)]
-    for (a, b), c in _boundary_counts(labels).items():
+    for a, b, c in zip(*_boundary_counts(labels, top)):
         adjacency[a][b] = adjacency[b][a] = c
     live = top  # SegmentMap labels are consecutive
     merges = []

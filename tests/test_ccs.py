@@ -25,6 +25,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="at least one"):
             CcsConfig(threshold_levels=())
 
+    @pytest.mark.parametrize("levels", [(220.0, float("nan")), (float("nan"),), (220.0, float("inf"))])
+    def test_rejects_non_finite_levels(self, levels):
+        with pytest.raises(ValueError, match="finite"):
+            CcsConfig(threshold_levels=levels)
+
+    @pytest.mark.parametrize("min_area", [2.5, 2.0, 0])
+    def test_rejects_min_area_not_a_positive_integer(self, min_area):
+        with pytest.raises(ValueError, match="min_area"):
+            CcsConfig(min_area=min_area)
+
+    def test_numpy_integer_min_area(self):
+        assert CcsConfig(min_area=np.int64(3)).min_area == 3
+
 
 class TestSegmentation:
     def test_cold_core_grows_to_the_cap(self):

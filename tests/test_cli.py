@@ -74,9 +74,12 @@ class TestSynth:
         img = read_raster_file(scene)
         assert (img.height, img.width) == (24, 32)
 
-    @pytest.mark.parametrize("line", ["noise_sigma = nan", "cloud.0.profile = gaussian"],
-                             ids=["nan-noise", "profile-key"])
-    def test_bad_spec_file_exits_2(self, tmp_path, line):
+    @pytest.mark.parametrize("line, named", [
+        ("noise_sigma = nan", "noise_sigma"),
+        ("cloud.0.profile = gaussian", "cloud.0.profile"),
+        ("cloud.0.min_bt = 250", "duplicate key 'cloud.0.min_bt'"),
+    ], ids=["nan-noise", "profile-key", "repeated-cloud-key"])
+    def test_bad_spec_file_exits_2(self, tmp_path, capsys, line, named):
         spec_path = tmp_path / "scene.spec"
         spec_path.write_text(
             "width = 8\nheight = 6\ncloud.0.center_row = 3\ncloud.0.center_col = 4\n"
@@ -87,6 +90,7 @@ class TestSynth:
         assert run("synth", "--spec", spec_path, "--scene-output", out / "s.gms1",
                    "--volume-output", out / "v.gmsv") == 2
         assert list(out.iterdir()) == []
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value, named", [
         ("cloud.0.radius_px", "inf", "radius_px"),
@@ -97,6 +101,8 @@ class TestSynth:
         ("cloud.0.min_bt", "nan", "min_bt"),
         ("cloud.0.center_row", "nan", "center"),
         ("cloud.0.hydrometeor_peak", "inf", "hydrometeor_peak"),
+        # finite in float64, so the spec is valid; the f32 volume write fails
+        ("cloud.0.hydrometeor_peak", "1e300", "level 1"),
         ("background_bt", "inf", "background_bt"),
     ])
     def test_non_finite_or_overflowing_spec_field_exits_2(self, tmp_path, capsys, key, value, named):
@@ -156,6 +162,16 @@ class TestGradient:
         bad = tmp_path / "bad.gms1"
         bad.write_bytes(b"JUNKJUNKJUNK")
         assert run("gradient", "--input", bad, "--output", tmp_path / "o") == 2
+
+    def test_gradient_beyond_f32_range_exits_2(self, tmp_path, capsys):
+        scene = tmp_path / "steep.gms1"
+        bt = Raster2D(np.array([[-3e38, 3e38], [3e38, -3e38]]), Units.KELVIN)
+        write_raster_file(MultiChannelImage((("ir_window", bt),)), scene)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run("gradient", "--input", scene, "--output", out / "g.gms1") == 2
+        assert list(out.iterdir()) == []
+        assert "channel 'gradient'" in capsys.readouterr().err
 
     def test_unknown_channel_exits_2(self, tmp_path):
         scene, _ = synth(tmp_path, preset="mixed")
@@ -387,7 +403,8 @@ class TestAtomicOutputs:
 
 # A fresh interpreter imports `module`, notes whether that loaded numpy, runs
 # each argv through the process entry point, then prints what it observed.
-# Commands run only when `module` is the entry point itself.
+# Commands run only when `module` is the entry point itself. The child runs
+# with -W error, so a command that warns fails here as it would in-process.
 _CHILD = (
     "import json, os, sys\n"
     "import {module}\n"
@@ -439,7 +456,7 @@ def test_child_process(tmp_path, module, blas_threads, expected):
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
     argv = json.dumps([[str(a) for a in cmd] for cmd in commands])
-    proc = subprocess.run([sys.executable, "-c", _CHILD.format(module=module), argv],
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", _CHILD.format(module=module), argv],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {**expected, "scipy": []}

@@ -215,6 +215,16 @@ class TestDistinctErrors:
         with pytest.raises(FormatError, match="magic"):
             read_volume_file(self._decode(tmp_path, b"GMS1" + bytes(40)))
 
+    def test_channel_beyond_f32_range(self, tmp_path):
+        with pytest.raises(ValueError, match="channel 'ir_window'"):
+            write_raster_file(one_channel([[1.0, -1e39]]), tmp_path / "x.gms1")
+
+    def test_volume_level_beyond_f32_range(self, tmp_path):
+        values = np.zeros((1, 3, 2, 2))
+        values[0, 2, 1, 0] = 1e39
+        with pytest.raises(ValueError, match="level 2"):
+            write_volume_file(HydrometeorVolume(("rain",), values), tmp_path / "v.gmsv")
+
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):
             write_raster_file(one_channel([[1.0]]), tmp_path / "missing_dir" / "x.gms1")

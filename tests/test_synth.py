@@ -1,12 +1,14 @@
 """Scene generator: determinism, truth-support construction, presets,
 spec-file round trips."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cloudseg import synth
 from cloudseg import (
@@ -24,6 +26,7 @@ from cloudseg import (
     write_scene_spec,
 )
 from cloudseg.synth import _TAIL_CUTOFF_K, TRUTH_DEPRESSION_K, WV_SMOOTH_SIGMA, _gaussian_blur
+from cloudseg.verification import MIXING_RATIO_THRESHOLD
 
 
 def single_cloud_spec(min_bt=265.0, noise=0.0, **kw):
@@ -77,7 +80,6 @@ class TestGeneration:
     def test_noise_changes_ir_only(self):
         spec = single_cloud_spec(noise=0.7, channels=("ir_window", "water_vapor"))
         img_a, _ = generate_scene(spec)
-        import dataclasses
         img_b, _ = generate_scene(dataclasses.replace(spec, rng_seed=4))
         assert not np.array_equal(img_a.raster("ir_window").values, img_b.raster("ir_window").values)
         np.testing.assert_array_equal(
@@ -344,3 +346,58 @@ class TestSpecFiles:
         path.write_text("width = 8\n")
         with pytest.raises(ValueError, match="height"):
             read_scene_spec(path)
+
+    @pytest.mark.parametrize("key", ["width", "cloud.0.min_bt"])
+    def test_repeated_key_rejected(self, tmp_path, key):
+        path = tmp_path / "s.spec"
+        path.write_text(
+            "width = 8\nheight = 6\n"
+            "cloud.0.center_row = 2\ncloud.0.center_col = 3\n"
+            f"cloud.0.radius_px = 1\ncloud.0.min_bt = 260\n{key} = 7\n"
+        )
+        with pytest.raises(ValueError, match=re.escape(f"s.spec:7: duplicate key '{key}'")):
+            read_scene_spec(path)
+
+    def test_left_out_keys_take_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "s.spec"
+        path.write_text(
+            "width = 8\nheight = 6\n"
+            "cloud.0.center_row = 2\ncloud.0.center_col = 3\n"
+            "cloud.0.radius_px = 1\ncloud.0.min_bt = 260\n"
+        )
+        want = SceneSpec(width=8, height=6, clouds=(CloudSpec(center=(2, 3), radius_px=1, min_bt=260),))
+        assert read_scene_spec(path) == want
+
+    def test_file_keys_cover_every_spec_field(self):
+        # a field the file format leaves out could never be read back
+        assert {f.name for f in dataclasses.fields(SceneSpec)} == {*synth._SCALAR_KEYS, "clouds"}
+        cloud_fields = [f.name for f in dataclasses.fields(CloudSpec)]
+        assert synth._CLOUD_FIELDS == ("center_row", "center_col", *cloud_fields[1:])
+        assert cloud_fields[0] == "center"
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_write_then_read_is_identity(self, tmp_path, data):
+        width, height = data.draw(st.integers(1, 2 ** 40)), data.draw(st.integers(1, 2 ** 40))
+        background_bt = data.draw(st.floats(-1e306, 1e307))
+        cloud = st.builds(
+            CloudSpec,
+            center=st.tuples(st.floats(0, height - 1), st.floats(0, width - 1)),
+            radius_px=st.floats(1e-150, 1e150),
+            # min_bt strictly below the background by a finite depth
+            min_bt=st.floats(-1e307, background_bt, exclude_max=True),
+            hydrometeor_peak=st.floats(MIXING_RATIO_THRESHOLD, exclude_min=True, allow_infinity=False),
+        )
+        spec = SceneSpec(
+            width=width, height=height, background_bt=background_bt,
+            channels=data.draw(st.sampled_from([("ir_window",), ("water_vapor",),
+                                                ("ir_window", "water_vapor"),
+                                                ("water_vapor", "ir_window")])),
+            noise_sigma=data.draw(st.floats(0, allow_infinity=False)),
+            rng_seed=data.draw(st.integers(0, 2 ** 64 - 1)),
+            clouds=data.draw(st.lists(cloud, max_size=5)),
+        )
+        path = tmp_path / "scene.spec"
+        write_scene_spec(spec, path)
+        assert read_scene_spec(path) == spec

@@ -15,6 +15,7 @@ from cloudseg import (
     merge_small_regions,
     watershed_from_markers,
 )
+from cloudseg.watershed import _boundary_counts
 
 
 def random_pair(rng, h, w, n_markers):
@@ -174,6 +175,20 @@ class TestMergeSmallRegions:
             merged = merge_small_regions(seg, min_area=min_area)
             want = oracles.rescan_merge(seg.labels, min_area)
             np.testing.assert_array_equal(merged.labels, want, err_msg=f"case {i}")
+
+    def test_boundary_counts_match_pair_oracle(self):
+        rng = np.random.default_rng(17)
+        for i in range(300):
+            h, w = rng.integers(1, 10, size=2)
+            seg = random_partition(rng, int(h), int(w))
+            want = {}
+            for p, q in oracles.boundary_pairs(seg.labels):
+                a, b = sorted((int(seg.labels[p]), int(seg.labels[q])))
+                if a:
+                    want[a, b] = want.get((a, b), 0) + 1
+            lo, hi, npairs = _boundary_counts(seg.labels, seg.count)
+            assert dict(zip(zip(lo, hi), npairs)) == want, f"case {i}"
+            assert len(lo) == len(want)
 
     def test_many_regions_match_oracle(self):
         seg = many_region_segmentation(48, 150, seed=5)
