@@ -6,14 +6,11 @@ up to a hard cap (253 K by default). Anything warmer than the cap is never
 claimed, which is exactly why warm clouds go undetected by this scheme.
 """
 
-import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .flood import priority_flood, seed_order
 from .markers import label_components
-from .raster import CloudMask, Raster2D, SegmentMap, Units
+from .raster import CloudMask, Raster2D, SegmentMap, Units, check_number
 from .watershed import merge_small_regions
 
 
@@ -30,17 +27,13 @@ class CcsConfig:
     min_area: int = 50
 
     def __post_init__(self):
-        levels = tuple(float(t) for t in self.threshold_levels)
+        levels = tuple(check_number(t, "threshold_levels", float) for t in self.threshold_levels)
         if not levels:
             raise ValueError("need at least one threshold level")
-        if not all(map(math.isfinite, levels)):
-            raise ValueError(f"threshold levels must be finite: {levels}")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError(f"threshold levels must be strictly ascending: {levels}")
-        if not isinstance(self.min_area, (int, np.integer)) or self.min_area < 1:
-            raise ValueError(f"min_area must be a positive integer, got {self.min_area!r}")
         object.__setattr__(self, "threshold_levels", levels)
-        object.__setattr__(self, "min_area", int(self.min_area))
+        object.__setattr__(self, "min_area", check_number(self.min_area, "min_area", int, 1))
 
 
 def ccs_segment(bt: Raster2D, cfg: CcsConfig = CcsConfig()) -> SegmentMap:

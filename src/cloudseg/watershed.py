@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flood import priority_flood, seed_order
-from .raster import CloudMask, MarkerMap, Raster2D, SegmentMap
+from .raster import CloudMask, MarkerMap, Raster2D, SegmentMap, check_number
 
 
 class EmptyMarkerMapError(ValueError):
@@ -92,8 +92,7 @@ def merge_small_regions(seg: SegmentMap, min_area: int = 1) -> SegmentMap:
     areas, yields the same victim as a scan of all offenders.
     Cost: O(pixels + regions * degree * log regions).
     """
-    if min_area < 1:
-        raise ValueError(f"min_area must be positive, got {min_area}")
+    min_area = check_number(min_area, "min_area", int, 1)
     labels = seg.labels
     top = seg.count
     areas = np.bincount(labels.ravel(), minlength=top + 1).tolist()

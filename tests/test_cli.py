@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,11 +19,13 @@ from cloudseg import (
     MultiChannelImage,
     Raster2D,
     SceneSpec,
+    SegmentMap,
     Units,
     classify_regions,
     derive_truth_mask,
     generate_markers,
     make_preset,
+    merge_small_regions,
     otsu_threshold,
     read_cloud_mask,
     read_raster_file,
@@ -78,7 +81,8 @@ class TestSynth:
         ("noise_sigma = nan", "noise_sigma"),
         ("cloud.0.profile = gaussian", "cloud.0.profile"),
         ("cloud.0.min_bt = 250", "duplicate key 'cloud.0.min_bt'"),
-    ], ids=["nan-noise", "profile-key", "repeated-cloud-key"])
+        ("rng_seed = 8x", "scene.spec: rng_seed: invalid literal"),
+    ], ids=["nan-noise", "profile-key", "repeated-cloud-key", "malformed-scalar"])
     def test_bad_spec_file_exits_2(self, tmp_path, capsys, line, named):
         spec_path = tmp_path / "scene.spec"
         spec_path.write_text(
@@ -365,6 +369,47 @@ def test_flag_defaults_are_the_library_defaults():
     assert ccs.levels == CcsConfig().threshold_levels
     assert ccs.min_area == CcsConfig().min_area
     assert truth.threshold == MIXING_RATIO_THRESHOLD == default(derive_truth_mask, "threshold")
+
+
+FIELD = Raster2D(np.arange(4.0).reshape(2, 2))
+IO = {
+    "synth": ["--preset", "mixed", "--scene-output", "s", "--volume-output", "v"],
+    "gradient": ["--input", "x", "--output", "g"],
+    "segment": ["--input", "x", "--segments-output", "s", "--mask-output", "m", "--stats-output", "c"],
+    "ccs": ["--input", "x", "--segments-output", "s", "--mask-output", "m"],
+}
+
+
+@pytest.mark.parametrize("command, flag, bound, beyond, library", [
+    ("gradient", "--scales", 1, 0, lambda v: GradientConfig(n_scales=v)),
+    ("segment", "--scales", 1, 0, lambda v: GradientConfig(n_scales=v)),
+    ("segment", "--bins", 2, 1, lambda v: otsu_threshold(FIELD, bins=v)),
+    ("segment", "--min-seed-area", 1, 0,
+     lambda v: generate_markers(FIELD, otsu_threshold(FIELD), min_seed_area=v)),
+    ("ccs", "--min-area", 1, 0, lambda v: CcsConfig(min_area=v)),
+    ("synth", "--seed", 0, -1, lambda v: SceneSpec(width=1, height=1, rng_seed=v)),
+    ("synth", "--seed", 2 ** 64 - 1, 2 ** 64, lambda v: SceneSpec(width=1, height=1, rng_seed=v)),
+    ("synth", "--noise-sigma", 0.0, math.nextafter(0.0, -1.0),
+     lambda v: SceneSpec(width=1, height=1, noise_sigma=v)),
+], ids=["gradient-scales", "segment-scales", "bins", "min-seed-area", "ccs-min-area",
+        "seed-low", "seed-high", "noise-sigma"])
+def test_flag_bounds_are_the_library_bounds(command, flag, bound, beyond, library):
+    parser = build_parser()
+    dest = flag[2:].replace("-", "_")
+    assert getattr(parser.parse_args([command, *IO[command], flag, str(bound)]), dest) == bound
+    library(bound)
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([command, *IO[command], flag, str(beyond)])
+    assert exc.value.code == 64
+    with pytest.raises(ValueError):
+        library(beyond)
+
+
+def test_segment_min_area_zero_is_the_one_gap():
+    # --min-area 0 disables the merge, so the CLI takes a value the library rejects
+    assert build_parser().parse_args(["segment", *IO["segment"], "--min-area", "0"]).min_area == 0
+    with pytest.raises(ValueError, match="min_area"):
+        merge_small_regions(SegmentMap(np.array([[1]])), min_area=0)
 
 
 class TestAtomicOutputs:

@@ -1,18 +1,28 @@
 """Container invariants: bad constructions must fail loudly."""
 
+import math
+
 import numpy as np
 import pytest
 
 from cloudseg import (
+    CcsConfig,
     CloudMask,
+    CloudSpec,
+    ContingencyTable,
+    GradientConfig,
     HydrometeorVolume,
     MarkerMap,
     MultiChannelImage,
     Raster2D,
+    SceneSpec,
     SegmentMap,
     StructuringElement,
     Units,
     dilate,
+    generate_markers,
+    merge_small_regions,
+    otsu_threshold,
 )
 
 
@@ -150,3 +160,92 @@ class TestHydrometeorVolume:
         bad[0, 0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             HydrometeorVolume(("snow",), bad)
+
+
+FIELD = Raster2D(np.arange(4.0).reshape(2, 2))
+CLOUD = dict(center=(1.0, 1.0), radius_px=2.0, min_bt=260.0)
+COUNTS = dict(hits=1, misses=1, false_alarms=1, correct_negatives=1)
+
+
+def _otsu(bins):
+    otsu_threshold(FIELD, bins=bins)
+
+
+def _markers(min_seed_area):
+    generate_markers(FIELD, otsu_threshold(FIELD), min_seed_area=min_seed_area)
+
+
+def _merge(min_area):
+    merge_small_regions(SegmentMap(np.array([[1, 2]])), min_area=min_area)
+
+
+def _count(name):
+    return lambda v: getattr(ContingencyTable(**COUNTS | {name: v}), name)
+
+
+def _scene(name):
+    return lambda v: getattr(SceneSpec(**dict(width=4, height=4) | {name: v}), name)
+
+
+def _cloud(name):
+    return lambda v: getattr(CloudSpec(**CLOUD | {name: v}), name)
+
+
+# Every numeric parameter the library checks, by raster.check_number:
+# (site, parameter, kind, low, valid). site(value) runs the call site with
+# the parameter set to value and returns the value it keeps, or None where
+# it keeps none; low is the least value the rule allows (-inf: none), and
+# valid a value the site accepts, low itself wherever low is finite.
+NUMBER_SITES = [
+    (lambda v: StructuringElement(v).radius, "radius", int, 0, 0),
+    (lambda v: GradientConfig(n_scales=v).n_scales, "n_scales", int, 1, 1),
+    (lambda v: CcsConfig(min_area=v).min_area, "min_area", int, 1, 1),
+    (lambda v: CcsConfig(threshold_levels=(v,)).threshold_levels[0], "threshold_levels", float,
+     -math.inf, 220),
+    *[(_count(name), name, int, 0, 0) for name in COUNTS],
+    (_otsu, "bins", int, 2, 2),
+    (_markers, "min_seed_area", int, 1, 1),
+    (_merge, "min_area", int, 1, 1),
+    (_scene("width"), "width", int, 1, 1),
+    (_scene("height"), "height", int, 1, 1),
+    (_scene("background_bt"), "background_bt", float, -math.inf, 290),
+    (_scene("noise_sigma"), "noise_sigma", float, 0, 0),
+    (_scene("rng_seed"), "rng_seed", int, 0, 0),
+    (lambda v: CloudSpec(**CLOUD | {"center": (v, 1.0)}).center[0], "center", float, -math.inf, 1),
+    (lambda v: CloudSpec(**CLOUD | {"center": (1.0, v)}).center[1], "center", float, -math.inf, 1),
+    (_cloud("radius_px"), "radius_px", float, -math.inf, 2),
+    (_cloud("min_bt"), "min_bt", float, -math.inf, 260),
+    (_cloud("hydrometeor_peak"), "hydrometeor_peak", float, -math.inf, 1),
+]
+
+
+def _rejected(kind, low) -> dict:
+    """The values a site of this kind and low bound must reject, by id."""
+    values = {"True": True, "nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+    if low > -math.inf:
+        values["low-1"] = low - 1
+    if kind is int:
+        values["low+0.5"] = low + 0.5  # never rounded
+    else:
+        values["2**1100"] = 2 ** 1100  # beyond float's range
+    return values
+
+
+@pytest.mark.parametrize("site, name, bad", [
+    pytest.param(site, name, bad, id=f"{i}-{name}-{label}")
+    for i, (site, name, kind, low, _) in enumerate(NUMBER_SITES)
+    for label, bad in _rejected(kind, low).items()
+])
+def test_every_number_site_rejects(site, name, bad):
+    with pytest.raises(ValueError, match=name):
+        site(bad)
+
+
+@pytest.mark.parametrize("site, name, kind, valid", [
+    pytest.param(site, name, kind, valid, id=f"{i}-{name}")
+    for i, (site, name, kind, _, valid) in enumerate(NUMBER_SITES)
+])
+def test_every_number_site_accepts_a_numpy_integer(site, name, kind, valid):
+    kept = site(np.int64(valid))
+    if kept is not None:
+        assert type(kept) is kind and kept == valid

@@ -358,6 +358,19 @@ class TestSpecFiles:
         with pytest.raises(ValueError, match=re.escape(f"s.spec:7: duplicate key '{key}'")):
             read_scene_spec(path)
 
+    @pytest.mark.parametrize("key, value", [("width", "8x"), ("noise_sigma", "cold"), ("rng_seed", "1.5")])
+    def test_malformed_scalar_names_file_and_key(self, tmp_path, key, value):
+        path = tmp_path / "s.spec"
+        fields = {"width": 8, "height": 6} | {key: value}
+        path.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
+        with pytest.raises(ValueError, match=re.escape(f"s.spec: {key}: ")):
+            read_scene_spec(path)
+
+    def test_channel_list_may_have_spaces(self, tmp_path):
+        path = tmp_path / "s.spec"
+        path.write_text("width = 8\nheight = 6\nchannels = ir_window, water_vapor\n")
+        assert read_scene_spec(path).channels == ("ir_window", "water_vapor")
+
     def test_left_out_keys_take_the_dataclass_defaults(self, tmp_path):
         path = tmp_path / "s.spec"
         path.write_text(
