@@ -81,10 +81,8 @@ class FormatError(ValueError):
 
 
 def _pack_id(name: str) -> bytes:
-    raw = name.encode("ascii")
-    if not 1 <= len(raw) <= _ID_BYTES:
-        raise ValueError(f"id {name!r} must be 1..{_ID_BYTES} ASCII bytes")
-    return raw.ljust(_ID_BYTES, b"\0")
+    """name NUL-padded to 16 bytes; the containers have already judged it."""
+    return name.encode("ascii").ljust(_ID_BYTES, b"\0")
 
 
 def _raster_header(dtype_code: int, width: int, height: int, count: int) -> bytes:

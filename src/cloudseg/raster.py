@@ -7,10 +7,12 @@ already has the stored dtype and layout, which leaves the caller's array
 read-only too. Constructors validate invariants loudly; nothing is
 clamped or masked silently. SegmentMap is the one label-map type, with
 0 as unlabeled; MarkerMap is an alias of it.
+Grids have no empty axis (``_check_grid``) and channel ids hold no NUL,
+so the codec writes and reads back every shape and id they accept.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -29,8 +31,28 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_grid(arr: np.ndarray, what: str, ndim: int = 2, axes: str = "") -> None:
+    """Raise ValueError unless arr has ndim axes, none of them empty."""
+    if arr.ndim != ndim:
+        raise ValueError(f"{what} expects a {ndim}D array{axes}, got ndim={arr.ndim}")
+    if 0 in arr.shape:
+        raise ValueError(f"{what} dimensions must be positive, got {arr.shape}")
+
+
+class _Grid:
+    """height and width of a container whose shape ends in (rows, cols)."""
+
+    @property
+    def height(self) -> int:
+        return self.shape[-2]
+
+    @property
+    def width(self) -> int:
+        return self.shape[-1]
+
+
 @dataclass(frozen=True)
-class Raster2D:
+class Raster2D(_Grid):
     """Single-channel 2D grid of finite scalars, row-major.
 
     Args:
@@ -44,10 +66,7 @@ class Raster2D:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise ValueError(f"Raster2D expects a 2D array, got ndim={v.ndim}")
-        if v.shape[0] < 1 or v.shape[1] < 1:
-            raise ValueError(f"Raster2D dimensions must be positive, got {v.shape}")
+        _check_grid(v, "Raster2D")
         if not np.all(np.isfinite(v)):
             raise ValueError("Raster2D values must be finite (no NaN/Inf)")
         if not isinstance(self.units, Units):
@@ -55,27 +74,20 @@ class Raster2D:
         object.__setattr__(self, "values", _freeze(v))
 
     @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
     def shape(self) -> tuple:
         return self.values.shape
 
 
 @dataclass(frozen=True)
-class MultiChannelImage:
+class MultiChannelImage(_Grid):
     """Co-registered stack of named Raster2D channels.
 
-    Channels keep their given order; ids must be unique, non-empty ASCII
-    of at most 16 bytes (the limit of the GMS1 container header).
+    Channels keep their given order; ids must be unique, 1..16 ASCII
+    characters and free of NUL (the GMS1 header pads ids with NUL to 16
+    bytes).
     """
 
-    channels: tuple = field(default_factory=tuple)
+    channels: tuple
 
     def __post_init__(self):
         chans = tuple((str(cid), r) for cid, r in self.channels)
@@ -87,8 +99,8 @@ class MultiChannelImage:
         for cid, r in chans:
             if not isinstance(r, Raster2D):
                 raise ValueError(f"channel {cid!r} is not a Raster2D")
-            if not cid or not cid.isascii() or len(cid.encode("ascii")) > 16:
-                raise ValueError(f"channel id {cid!r} must be 1..16 ASCII bytes")
+            if not (1 <= len(cid) <= 16 and cid.isascii() and "\0" not in cid):
+                raise ValueError(f"MultiChannelImage channel id {cid!r} needs 1..16 ASCII characters, no NUL")
         shapes = {r.shape for _, r in chans}
         if len(shapes) != 1:
             raise ValueError(f"channels disagree on shape: {sorted(shapes)}")
@@ -105,12 +117,8 @@ class MultiChannelImage:
         raise KeyError(f"no channel {channel_id!r} (have {self.channel_ids})")
 
     @property
-    def height(self) -> int:
-        return self.channels[0][1].height
-
-    @property
-    def width(self) -> int:
-        return self.channels[0][1].width
+    def shape(self) -> tuple:
+        return self.channels[0][1].shape
 
 
 @dataclass(frozen=True)
@@ -128,7 +136,7 @@ class StructuringElement:
 
 
 @dataclass(frozen=True)
-class SegmentMap:
+class SegmentMap(_Grid):
     """2D map of consecutive labels 1..K; 0 means unlabeled.
 
     The one label-map type: watershed markers (0 = non-seed), watershed
@@ -144,8 +152,7 @@ class SegmentMap:
 
     def __post_init__(self):
         lab = np.asarray(self.labels)
-        if lab.ndim != 2:
-            raise ValueError(f"SegmentMap expects a 2D label array, got ndim={lab.ndim}")
+        _check_grid(lab, "SegmentMap")
         if not np.issubdtype(lab.dtype, np.integer):
             raise ValueError(f"SegmentMap labels must be integers, got {lab.dtype}")
         if lab.min() < 0 or lab.max() > np.iinfo(np.int32).max:  # before the cast can wrap
@@ -170,14 +177,6 @@ class SegmentMap:
         return int(self.labels.max())
 
     @property
-    def height(self) -> int:
-        return self.labels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.labels.shape[1]
-
-    @property
     def shape(self) -> tuple:
         return self.labels.shape
 
@@ -186,26 +185,17 @@ MarkerMap = SegmentMap
 
 
 @dataclass(frozen=True)
-class CloudMask:
+class CloudMask(_Grid):
     """Boolean cloud/clear raster (True = cloudy)."""
 
     flags: np.ndarray
 
     def __post_init__(self):
         f = np.asarray(self.flags)
-        if f.ndim != 2:
-            raise ValueError(f"CloudMask expects a 2D array, got ndim={f.ndim}")
+        _check_grid(f, "CloudMask")
         if f.dtype != np.bool_:
             raise ValueError(f"CloudMask flags must be boolean, got {f.dtype}")
         object.__setattr__(self, "flags", _freeze(f))
-
-    @property
-    def height(self) -> int:
-        return self.flags.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.flags.shape[1]
 
     @property
     def shape(self) -> tuple:
@@ -271,7 +261,7 @@ def check_mixing_ratios(values: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class HydrometeorVolume:
+class HydrometeorVolume(_Grid):
     """Stack of hydrometeor mixing-ratio fields, kg/kg.
 
     Layout is [species][level][row][col]; values must be finite and
@@ -284,24 +274,17 @@ class HydrometeorVolume:
     def __post_init__(self):
         sp = check_species(self.species)
         v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 4:
-            raise ValueError(f"volume values must be 4D [species][level][row][col], got ndim={v.ndim}")
+        _check_grid(v, "HydrometeorVolume", 4, " [species][level][row][col]")
         if v.shape[0] != len(sp):
             raise ValueError(f"species axis {v.shape[0]} != {len(sp)} species ids")
-        if v.shape[1] < 1 or v.shape[2] < 1 or v.shape[3] < 1:
-            raise ValueError(f"volume dimensions must be positive, got {v.shape}")
         check_mixing_ratios(v)
         object.__setattr__(self, "species", sp)
         object.__setattr__(self, "values", _freeze(v))
 
     @property
+    def shape(self) -> tuple:
+        return self.values.shape
+
+    @property
     def levels(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[2]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[3]

@@ -30,6 +30,7 @@ def derive_truth_mask(levels, threshold: float = MIXING_RATIO_THRESHOLD) -> Clou
             used before the next is taken, so a reader may reuse its buffer.
         threshold: mixing ratio (kg/kg) a column's maximum must exceed.
     """
+    threshold = check_number(threshold, "threshold")
     if isinstance(levels, HydrometeorVolume):
         levels = levels.values.transpose(1, 0, 2, 3)
     column_max = None

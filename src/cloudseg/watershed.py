@@ -150,7 +150,8 @@ def classify_regions(seg: SegmentMap, bt: Raster2D, gradient: Raster2D,
     if seg.shape != bt.shape:
         raise ValueError(f"shape mismatch: segments {seg.shape} vs bt {bt.shape}")
     if gradient.shape != seg.shape:
-        raise ValueError("gradient shape mismatch")
+        raise ValueError(f"shape mismatch: segments {seg.shape} vs gradient {gradient.shape}")
+    clear_sky_cutoff = check_number(clear_sky_cutoff, "clear_sky_cutoff")
     labels = seg.labels
     k = seg.count
     flat = labels.ravel()

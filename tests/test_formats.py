@@ -132,6 +132,28 @@ class TestRoundTrips:
         np.testing.assert_array_equal(back.values, values)
         assert encode_volume_file(back) == p.read_bytes()
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1)], ids=["1x1", "1xN", "Nx1"])
+    def test_every_container_round_trips(self, tmp_path, shape):
+        """What a constructor accepts, the codec writes and reads back, down
+        to one row or column and ids of 1 and 16 characters."""
+        values = np.arange(float(np.prod(shape))).reshape(shape) + 200.0
+        ir, wv = Raster2D(values, Units.KELVIN), Raster2D(values + 0.5, Units.KELVIN)
+        ratios = np.stack([[values, values + 1], [values + 2, values + 3]]) / 64  # f32-exact
+        cases = [
+            (MultiChannelImage((("a", ir), (16 * "z", wv))), read_raster_file,
+             lambda c: (c.channel_ids, [r.values for _, r in c.channels])),
+            (SegmentMap(np.arange(values.size).reshape(shape) % 3), read_segment_map, lambda c: c.labels),
+            (CloudMask(values % 2 == 0), read_cloud_mask, lambda c: c.flags),
+            (HydrometeorVolume(("rain", "snow"), ratios), read_volume_file, lambda c: (c.species, c.values)),
+        ]
+        for i, (container, read, contents) in enumerate(cases):
+            path = tmp_path / str(i)
+            write = write_volume_file if read is read_volume_file else write_raster_file
+            write(container, path)
+            back = read(path)
+            assert (back.shape, back.height, back.width) == (container.shape, *shape)
+            np.testing.assert_equal(contents(back), contents(container))
+
     def test_writes_are_deterministic(self, tmp_path):
         img = one_channel([[1.5, 2.5]])
         a, b = tmp_path / "a", tmp_path / "b"
@@ -237,6 +259,7 @@ class TestContainerErrors:
     @pytest.mark.parametrize("reader, data, match", [
         (read_raster_file, header(1, 1, 1, 2) + ids("ir", "ir") + f32(1.0, 2.0), "duplicate"),
         (read_raster_file, header(1, 1, 1, 1) + bytes(16) + f32(1.0), "channel id"),
+        (read_raster_file, header(1, 1, 1, 1) + ids("a\0b") + f32(1.0), "channel id"),
         (read_volume_file, volume_header(1, 1, 1, 1) + ids("hail") + f32(0.0), "unknown species"),
         (read_volume_file, volume_header(1, 1, 1, 2) + ids("rain", "rain") + f32(0.0, 0.0), "duplicate"),
         (read_volume_file, volume_header(1, 1, 1, 1) + ids("rain") + f32(-1.0), "non-negative"),
@@ -244,8 +267,8 @@ class TestContainerErrors:
         (read_segment_map, header(3, 1, 1, 1) + ids("mask") + bytes(4), "channel id must be 'labels'"),
         (read_segment_map, header(3, 1, 1, 1) + ids("labels") + np.array([2 ** 31], "<u4").tobytes(),
          "non-negative int32"),
-    ], ids=["dup-channel", "empty-channel-id", "unknown-species", "dup-species", "negative-ratio",
-            "mask-id", "segment-id", "label-beyond-int32"])
+    ], ids=["dup-channel", "empty-channel-id", "nul-in-channel-id", "unknown-species", "dup-species",
+            "negative-ratio", "mask-id", "segment-id", "label-beyond-int32"])
     def test_raises_format_error(self, tmp_path, reader, data, match):
         p = tmp_path / "bad"
         p.write_bytes(data)

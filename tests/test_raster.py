@@ -19,6 +19,8 @@ from cloudseg import (
     SegmentMap,
     StructuringElement,
     Units,
+    classify_regions,
+    derive_truth_mask,
     dilate,
     generate_markers,
     merge_small_regions,
@@ -43,9 +45,17 @@ class TestRaster2D:
         with pytest.raises(ValueError, match="2D"):
             Raster2D([1.0, 2.0])
 
-    def test_rejects_empty(self):
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0)], ids=["0x5", "5x0"])
+    @pytest.mark.parametrize("make", [
+        lambda shape: Raster2D(np.empty(shape)),
+        lambda shape: SegmentMap(np.zeros(shape, dtype=int)),
+        lambda shape: CloudMask(np.zeros(shape, dtype=bool)),
+        lambda shape: HydrometeorVolume(("rain",), np.zeros((1, 1, *shape))),
+    ], ids=["Raster2D", "SegmentMap", "CloudMask", "HydrometeorVolume"])
+    def test_rejects_empty(self, make, shape):
+        # no GMS1/GMSV header holds a zero dimension
         with pytest.raises(ValueError, match="positive"):
-            Raster2D(np.empty((0, 3)))
+            make(shape)
 
     def test_values_are_read_only(self):
         r = Raster2D([[1.0, 2.0]])
@@ -71,14 +81,17 @@ class TestMultiChannelImage:
         a = Raster2D([[1.0]])
         with pytest.raises(ValueError, match="duplicate"):
             MultiChannelImage((("x", a), ("x", a)))
+        with pytest.raises(ValueError, match="ASCII"):  # the same id once NUL-padded in a file
+            MultiChannelImage((("x", a), ("x\0", a)))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             MultiChannelImage((("a", Raster2D([[1.0]])), ("b", Raster2D([[1.0, 2.0]]))))
 
     def test_rejects_oversized_id(self):
-        with pytest.raises(ValueError, match="ASCII"):
-            MultiChannelImage(((17 * "x", Raster2D([[1.0]])),))
+        for cid in (17 * "x", "x\0"):  # NUL is the pad byte of a GMS1 id
+            with pytest.raises(ValueError, match="ASCII"):
+                MultiChannelImage(((cid, Raster2D([[1.0]])),))
 
 
 class TestStructuringElement:
@@ -179,6 +192,15 @@ def _merge(min_area):
     merge_small_regions(SegmentMap(np.array([[1, 2]])), min_area=min_area)
 
 
+def _classify(clear_sky_cutoff):
+    seg = SegmentMap(np.array([[1, 1], [1, 1]]))
+    classify_regions(seg, FIELD, FIELD, clear_sky_cutoff=clear_sky_cutoff)
+
+
+def _truth_mask(threshold):
+    derive_truth_mask(HydrometeorVolume(("rain",), np.full((1, 1, 2, 2), 1e-3)), threshold=threshold)
+
+
 def _count(name):
     return lambda v: getattr(ContingencyTable(**COUNTS | {name: v}), name)
 
@@ -216,6 +238,8 @@ NUMBER_SITES = [
     (_cloud("radius_px"), "radius_px", float, -math.inf, 2),
     (_cloud("min_bt"), "min_bt", float, -math.inf, 260),
     (_cloud("hydrometeor_peak"), "hydrometeor_peak", float, -math.inf, 1),
+    (_classify, "clear_sky_cutoff", float, -math.inf, 280),
+    (_truth_mask, "threshold", float, -math.inf, 0),
 ]
 
 

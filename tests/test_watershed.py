@@ -256,6 +256,14 @@ class TestClassifyRegions:
         assert stats[1].mean_bt == pytest.approx(291.0)
         assert not stats[1].is_cloud
 
+    def test_shape_mismatch_names_both_shapes(self):
+        seg = SegmentMap(np.ones((2, 2), dtype=int))
+        small, large = make_field(np.zeros((2, 2))), make_field(np.zeros((3, 3)))
+        with pytest.raises(ValueError, match=r"segments \(2, 2\) vs bt \(3, 3\)"):
+            classify_regions(seg, make_bt(np.zeros((3, 3))), small)
+        with pytest.raises(ValueError, match=r"segments \(2, 2\) vs gradient \(3, 3\)"):
+            classify_regions(seg, make_bt(np.zeros((2, 2))), large)
+
     def test_label_zero_stays_clear(self):
         seg = SegmentMap(np.array([[0, 1]]))
         bt = make_bt(np.array([[200.0, 200.0]]))
