@@ -159,12 +159,6 @@ class _Outputs:
                     pass
 
 
-def _select_channels(img: MultiChannelImage, wanted) -> MultiChannelImage:
-    if not wanted:
-        return img
-    return MultiChannelImage(tuple((cid, img.raster(cid)) for cid in wanted))
-
-
 def _cmd_synth(args) -> int:
     spec = make_preset(args.preset) if args.preset is not None else read_scene_spec(args.spec)
     if args.seed is not None:
@@ -178,28 +172,36 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _fused_gradient(args):
+def _read_channels(args) -> MultiChannelImage:
     image = read_raster_file(args.input)
-    selected = _select_channels(image, args.channels)
+    if not args.channels:
+        return image
+    return MultiChannelImage(tuple((cid, image.raster(cid)) for cid in args.channels))
+
+
+def _fused_gradient(selected: MultiChannelImage, args):
     cfg = GradientConfig(n_scales=args.scales, normalize_channels=args.normalize_channels)
-    return selected, multispectral_gradient(selected, cfg)
+    return multispectral_gradient(selected, cfg)
 
 
 def _cmd_gradient(args) -> int:
-    _, field = _fused_gradient(args)
+    field = _fused_gradient(_read_channels(args), args)
     with _Outputs() as out:
         write_raster_file(MultiChannelImage((("gradient", field),)), out(args.output))
     return EXIT_OK
 
 
 def _cmd_segment(args) -> int:
-    selected, field = _fused_gradient(args)
+    selected = _read_channels(args)
+    # an unknown --bt-channel exits here, before the gradient runs
+    bt = selected.raster(args.bt_channel or selected.channel_ids[0])
+    field = _fused_gradient(selected, args)
+    del selected  # of the channels only bt is needed from here on
     otsu = otsu_threshold(field, bins=args.bins)
-    marker_map = generate_markers(field, otsu, min_seed_area=args.min_seed_area)
-    seg = watershed_from_markers(field, marker_map)
+    # the marker map is freed as soon as the flood returns
+    seg = watershed_from_markers(field, generate_markers(field, otsu, min_seed_area=args.min_seed_area))
     if args.min_area > 0:
         seg = merge_small_regions(seg, min_area=args.min_area)
-    bt = selected.raster(args.bt_channel or selected.channel_ids[0])
     mask, stats = classify_regions(seg, bt, clear_sky_cutoff=args.clear_sky_cutoff, gradient=field)
     with _Outputs() as out:
         write_raster_file(seg, out(args.segments_output))

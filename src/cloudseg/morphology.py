@@ -9,6 +9,21 @@ dilation and erosion one step from scale i-1's instead of starting over.
 Max and min only select values, so every step is exact; the test suite
 holds the results equal to a naive clipped-window scan.
 
+The multi-scale gradient runs in row strips, so only its output plane and
+one strip's working set are image-sized; a strip plane is _STRIP_BYTES.
+Strip rows [r0, r1) are computed from the block of rows [r0 - h, r1 + h)
+clipped to the image, with a halo h = 2n - 1, and only the strip's own
+rows are kept. That is exact: a clipped 3x3 step at a row reads only rows
+within 1 of it, and scale i takes i dilation (erosion) steps and then
+i - 1 erosion steps of its gradient, at most 2n - 1 steps in all. So a
+block edge that is not the image's own edge lies >= 2n - 1 rows from
+every kept row and never reaches it, while at the image's edge the block
+clips exactly where the image does. Scale i's gradient is formed only on
+the block rows within i - 1 of the strip, the rows its i - 1 erosion steps
+read, and is eroded by min(i - 1, max(slice shape) - 1) steps: a clipped
+window that wide already covers the whole slice, so further steps change
+nothing, and the cost stays linear in the number of scales.
+
 Every gradient is a dimensionless Raster2D, non-negative by construction:
 dilation minus erosion is >= 0, and so is an erosion of it.
 """
@@ -18,6 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .raster import MultiChannelImage, Raster2D, StructuringElement, Units, check_number
+
+# Bytes of one float64 strip plane: a block and the few planes it works
+# on then stay close to a 2 MiB L2 cache.
+_STRIP_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -69,14 +88,32 @@ def erode(f: Raster2D, se: StructuringElement) -> Raster2D:
     return Raster2D(_window_min(f.values, se.radius), f.units)
 
 
-def _multiscale(values: np.ndarray, n_scales: int) -> np.ndarray:
-    acc = np.zeros_like(values)
-    dilated = eroded = values
+def _strip_sum(block: np.ndarray, top: int, bottom: int, n_scales: int) -> np.ndarray:
+    """Sum of the scale gradients 1..n_scales on block rows [top, bottom),
+    windows clipped to block."""
+    acc = np.zeros_like(block[top:bottom])
+    dilated = eroded = block
     for i in range(1, n_scales + 1):
         dilated = _window_max(dilated, 1)  # scale i from scale i-1: one step
         eroded = _window_min(eroded, 1)
-        acc += _window_min(dilated - eroded, i - 1)
-    return acc / n_scales
+        lo = max(top - (i - 1), 0)  # the rows i - 1 steps from the strip reach
+        grad = dilated[lo:bottom + i - 1] - eroded[lo:bottom + i - 1]
+        cover = max(grad.shape) - 1  # a clipped window this wide covers grad
+        acc += _window_min(grad, min(i - 1, cover))[top - lo:bottom - lo]
+    return acc
+
+
+def _multiscale(values: np.ndarray, n_scales: int) -> np.ndarray:
+    height, width = values.shape
+    halo = 2 * n_scales - 1
+    rows = max(1, _STRIP_BYTES // (values.itemsize * width))
+    out = np.empty_like(values)
+    for r0 in range(0, height, rows):
+        r1 = min(r0 + rows, height)
+        b0 = max(r0 - halo, 0)
+        out[r0:r1] = _strip_sum(values[b0:r1 + halo], r0 - b0, r1 - b0, n_scales)
+    out /= n_scales
+    return out
 
 
 def multiscale_gradient(f: Raster2D, cfg: GradientConfig = GradientConfig()) -> Raster2D:
@@ -98,6 +135,9 @@ def multispectral_gradient(img: MultiChannelImage, cfg: GradientConfig = Gradien
         if cfg.normalize_channels:
             peak = field.max()
             if peak > 0:
-                field = field / peak
-        acc = field if acc is None else acc + field
+                field /= peak
+        if acc is None:
+            acc = field
+        else:
+            acc += field
     return Raster2D(acc, Units.DIMENSIONLESS)

@@ -22,8 +22,10 @@ from cloudseg import (
     SegmentMap,
     Units,
     classify_regions,
+    deck,
     derive_truth_mask,
     generate_markers,
+    generate_scene,
     make_preset,
     merge_small_regions,
     otsu_threshold,
@@ -217,6 +219,29 @@ class TestSegment:
         code = run("segment", "--input", scene, "--segments-output", tmp_path / "s",
                    "--mask-output", tmp_path / "m", "--stats-output", tmp_path / "c")
         assert code == 3
+
+    @pytest.mark.parametrize("scene_kind", ["two_channel", "constant"])
+    def test_unknown_bt_channel_exits_2_before_the_gradient(self, tmp_path, capsys, monkeypatch, scene_kind):
+        if scene_kind == "constant":  # a constant field used to exit 3 at Otsu first
+            scene = tmp_path / "flat.gms1"
+            write_raster_file(MultiChannelImage(
+                (("ir_window", Raster2D(np.full((12, 12), 290.0), Units.KELVIN)),)
+            ), scene)
+        else:
+            scene, _ = synth(tmp_path, preset="wyoming_like")
+        have = read_raster_file(scene).channel_ids
+
+        def no_gradient(*args):
+            raise AssertionError("the gradient ran")
+
+        monkeypatch.setattr(cloudseg.cli, "multispectral_gradient", no_gradient)
+        out = tmp_path / "out"
+        out.mkdir()
+        code = run("segment", "--input", scene, "--bt-channel", "visible", "--segments-output", out / "s",
+                   "--mask-output", out / "m", "--stats-output", out / "c")
+        assert code == 2
+        assert f"no channel 'visible' (have {have})" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_overgrown_min_seed_area_is_algorithmic_error(self, tmp_path):
         scene, _ = synth(tmp_path, preset="wyoming_like")
@@ -506,3 +531,36 @@ def test_child_process(tmp_path, module, blas_threads, expected):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {**expected, "scipy": []}
     assert (tmp_path / "out-report.json").exists() == run_commands
+
+
+# A small launcher runs the child: Linux carries a process's RSS into the
+# ru_maxrss of the children it forks and execs, and this test process may be
+# large. The launcher prints the child's exit code and its own ru_maxrss (KiB).
+_RSS_LAUNCHER = (
+    "import os, sys\n"
+    "pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)\n"
+    "_, status, usage = os.wait4(pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+def test_segment_peak_rss_at_1024(tmp_path):
+    """Criterion 7's two-channel layout at 1024 x 1024: the gradient keeps
+    only its output and one strip's working set image-sized, so the child
+    peaks near 70 MiB, where whole gradient planes reached 102 MiB."""
+    clouds = deck((520.0, 440.0), 240.0, 262.0)
+    clouds += deck((300.0, 760.0), 60.0, 212.0)
+    clouds += deck((800.0, 240.0), 50.0, 210.0)
+    spec = SceneSpec(width=1024, height=1024, clouds=tuple(clouds),
+                     channels=("ir_window", "water_vapor"), noise_sigma=0.5, rng_seed=42)
+    scene = tmp_path / "big.gms1"
+    write_raster_file(generate_scene(spec)[0], scene)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cloudseg.__file__)))
+    argv = ["-m", "cloudseg", "segment", "--input", scene, "--segments-output", tmp_path / "seg.gms1",
+            "--mask-output", tmp_path / "mask.gms1", "--stats-output", tmp_path / "stats.csv"]
+    proc = subprocess.run([sys.executable, "-c", _RSS_LAUNCHER, *map(str, argv)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    code, child_kib = map(int, proc.stdout.split())
+    assert code == 0
+    assert child_kib < 90 * 1024, f"segment child peak RSS {child_kib / 1024:.1f} MiB"

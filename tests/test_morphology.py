@@ -1,9 +1,13 @@
 """Morphology operators against the naive clipped-window oracle."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
+from cloudseg import morphology
 from cloudseg import (
     GradientConfig,
     MultiChannelImage,
@@ -124,9 +128,47 @@ class TestMultiscaleGradient:
                 f = rng.integers(0, 4, size=(h, w)).astype(float)  # plateaus and ties
             else:
                 f = rng.normal(size=(h, w)) * 30
-            n = k % 6 + 1
+            n = k % 20 + 1 if k % 3 == 0 else k % 6 + 1  # a third of the grids go beyond their side
             got = multiscale_gradient(Raster2D(f), GradientConfig(n_scales=n)).values
             np.testing.assert_array_equal(got, oracles.multiscale_reference(f, n), err_msg=repr(f))
+
+    def test_row_strips_match_oracle(self, monkeypatch):
+        """Strips of 1-3 rows put a strip edge beside nearly every row, so a
+        halo one row short of 2n - 1 fails here."""
+        rng = np.random.default_rng(1717)
+        kinds = (
+            lambda h, w: rng.integers(0, 4, size=(h, w)).astype(float),  # plateaus and ties
+            lambda h, w: rng.normal(size=(h, w)) * 30,
+            lambda h, w: (rng.normal(size=(h, w)) * 64).astype(np.float32).astype(float),
+        )
+
+        def normalized(field):
+            return field / field.max() if field.max() > 0 else field
+
+        for k in range(80):  # sides 1..40, each twice; n cycles 1..8 and the kinds cycle
+            h, w, n = k // 2 + 1, int(rng.integers(1, 13)), k % 8 + 1
+            rows, normalize = int(rng.integers(1, 4)), bool(rng.integers(2))
+            f, g = kinds[k % 3](h, w), kinds[(k + 1) % 3](h, w)
+            want = [oracles.multiscale_reference(v, n) for v in (f, g)]
+            if normalize:
+                want = [normalized(v) for v in want]
+            monkeypatch.setattr(morphology, "_STRIP_BYTES", rows * 8 * w)
+            img = MultiChannelImage((("f", Raster2D(f)), ("g", Raster2D(g))))
+            got = multispectral_gradient(img, GradientConfig(n_scales=n, normalize_channels=normalize)).values
+            np.testing.assert_array_equal(got, want[0] + want[1],
+                                          err_msg=f"{h}x{w}, n={n}, {rows}-row strips, normalize={normalize}")
+
+    def test_scales_have_no_superlinear_blowup(self):
+        """Erosions stop at the raster's size, so 400 scales on 16 x 16 cost
+        400 short runs of steps, not 80,000 steps."""
+        f = np.random.default_rng(400).normal(size=(16, 16))
+        start = time.perf_counter()
+        got = multiscale_gradient(Raster2D(f), GradientConfig(n_scales=400)).values
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, f"400 scales on 16 x 16: {elapsed:.2f} s"
+        # from scale 15 on, a window covers the raster: each term is max - min
+        first = multiscale_gradient(Raster2D(f), GradientConfig(n_scales=40)).values
+        np.testing.assert_allclose(got * 400, first * 40 + 360 * (f.max() - f.min()), rtol=1e-12)
 
     def test_non_negative(self, rng):
         f = Raster2D(rng.normal(size=(15, 15)) * 100)
@@ -179,3 +221,23 @@ class TestMultispectralGradient:
         out = multispectral_gradient(self._img(flat, varying), cfg).values
         base = multiscale_gradient(Raster2D(varying), GradientConfig(n_scales=2)).values
         np.testing.assert_array_equal(out, base / base.max())
+
+
+def test_gradient_memory_is_its_output_and_one_strip():
+    """Two 1024 x 1024 channels: the output, one channel's field and one
+    strip's working set are alive at once, about 2.5 planes, where whole
+    planes for every step reached 7."""
+    rng = np.random.default_rng(1024)
+    img = MultiChannelImage(tuple(
+        (cid, Raster2D(rng.normal(250.0, 10.0, size=(1024, 1024)), Units.KELVIN)) for cid in ("a", "b")
+    ))
+    plane = 1024 * 1024 * 8
+    for normalize in (False, True):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            multispectral_gradient(img, GradientConfig(normalize_channels=normalize))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * plane, f"normalize={normalize}: {peak / plane:.2f} planes"
