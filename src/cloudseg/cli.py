@@ -9,6 +9,7 @@ all of its outputs or, when it fails, none of them.
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -130,33 +131,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _Outputs:
-    """A command's outputs, written all or none: ``out(path)`` names a
-    temporary file beside ``path``. A clean exit moves every temporary
-    file onto its path; any error removes those still left."""
-
-    def __init__(self):
-        self._moves = []
-
-    def __call__(self, path) -> str:
-        temp = f"{path}.{os.getpid()}.tmp"
-        self._moves.append((temp, path))
-        return temp
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        try:
-            if exc_type is None:
-                for temp, path in self._moves:
-                    os.replace(temp, path)
-        finally:
-            for temp, _ in self._moves:
-                try:
-                    os.remove(temp)
-                except OSError:  # moved into place, or never created
-                    pass
+@contextlib.contextmanager
+def _outputs(*paths):
+    """A command's outputs, written all or none: yields a temporary path
+    beside each of `paths`. A clean exit moves every temporary file onto
+    its path; any error removes them. A path named twice (``x`` and
+    ``./x`` included) or a directory is refused before anything is
+    written, so no move can fail halfway."""
+    real = [os.path.realpath(path) for path in paths]
+    for path, where in zip(paths, real):
+        if real.count(where) > 1:
+            raise ValueError(f"output {path} is named more than once")
+        if os.path.isdir(path):
+            raise ValueError(f"output {path} is a directory")
+    temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
+    try:
+        yield temps
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    finally:
+        for temp in temps:
+            with contextlib.suppress(OSError):  # moved into place, or never created
+                os.remove(temp)
 
 
 def _cmd_synth(args) -> int:
@@ -166,9 +162,9 @@ def _cmd_synth(args) -> int:
     if args.noise_sigma is not None:
         spec = dataclasses.replace(spec, noise_sigma=args.noise_sigma)
     image, volume = generate_scene(spec)
-    with _Outputs() as out:
-        write_raster_file(image, out(args.scene_output))
-        write_volume_file(volume, out(args.volume_output))
+    with _outputs(args.scene_output, args.volume_output) as (scene_path, volume_path):
+        write_raster_file(image, scene_path)
+        write_volume_file(volume, volume_path)
     return EXIT_OK
 
 
@@ -186,8 +182,8 @@ def _fused_gradient(selected: MultiChannelImage, args):
 
 def _cmd_gradient(args) -> int:
     field = _fused_gradient(_read_channels(args), args)
-    with _Outputs() as out:
-        write_raster_file(MultiChannelImage((("gradient", field),)), out(args.output))
+    with _outputs(args.output) as (path,):
+        write_raster_file(MultiChannelImage((("gradient", field),)), path)
     return EXIT_OK
 
 
@@ -203,10 +199,10 @@ def _cmd_segment(args) -> int:
     if args.min_area > 0:
         seg = merge_small_regions(seg, min_area=args.min_area)
     mask, stats = classify_regions(seg, bt, clear_sky_cutoff=args.clear_sky_cutoff, gradient=field)
-    with _Outputs() as out:
-        write_raster_file(seg, out(args.segments_output))
-        write_raster_file(mask, out(args.mask_output))
-        with open(out(args.stats_output), "w", newline="") as fh:
+    with _outputs(args.segments_output, args.mask_output, args.stats_output) as (seg_p, mask_p, stats_p):
+        write_raster_file(seg, seg_p)
+        write_raster_file(mask, mask_p)
+        with open(stats_p, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["label", "area", "mean_bt", "min_bt", "mean_gradient", "is_cloud"])
             for s in stats:
@@ -220,17 +216,17 @@ def _cmd_ccs(args) -> int:
     bt = image.raster(args.bt_channel or image.channel_ids[0])
     cfg = CcsConfig(threshold_levels=args.levels, min_area=args.min_area)
     seg = ccs_segment(bt, cfg)
-    with _Outputs() as out:
-        write_raster_file(seg, out(args.segments_output))
-        write_raster_file(ccs_cloud_mask(seg), out(args.mask_output))
+    with _outputs(args.segments_output, args.mask_output) as (seg_path, mask_path):
+        write_raster_file(seg, seg_path)
+        write_raster_file(ccs_cloud_mask(seg), mask_path)
     return EXIT_OK
 
 
 def _cmd_truth_mask(args) -> int:
     _, _, planes = read_volume_levels(args.input)
     mask = derive_truth_mask(planes, threshold=args.threshold)
-    with _Outputs() as out:
-        write_raster_file(mask, out(args.output))
+    with _outputs(args.output) as (path,):
+        write_raster_file(mask, path)
     return EXIT_OK
 
 
@@ -238,7 +234,7 @@ def _cmd_evaluate(args) -> int:
     prediction = read_cloud_mask(args.prediction)
     truth = read_cloud_mask(args.truth)
     report = verify(contingency(prediction, truth))
-    with _Outputs() as out, open(out(args.output), "w") as fh:
+    with _outputs(args.output) as (path,), open(path, "w") as fh:
         json.dump(dataclasses.asdict(report), fh, indent=2)
         fh.write("\n")
     return EXIT_OK
@@ -253,5 +249,6 @@ def main(argv=None) -> int:
         print(f"cloudseg: {exc}", file=sys.stderr)
         return EXIT_ALGORITHM
     except (FormatError, OSError, ValueError, KeyError) as exc:
-        print(f"cloudseg: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        print(f"cloudseg: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return EXIT_DATA

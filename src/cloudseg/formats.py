@@ -34,9 +34,10 @@ GMSV layout replaces the channel axis with species and adds a level axis::
 Multi-channel imagery encodes as f32 (dtype 1), cloud masks as u8
 (dtype 2, one byte 0/1 per pixel), segment maps as u32 (dtype 3).
 
-Level-major order lets a volume stream: ``read_volume_levels`` yields it
-one level at a time and ``write_volume_file`` writes it that way, so
-neither holds the whole f32 payload.
+Both formats are one frame: a header with its ids, then planes, each a
+GMS1 channel or a GMSV level. Every reader takes the planes one at a time
+into one reused buffer after the header, id and file-size checks, and
+every write streams them, so neither direction holds the whole payload.
 """
 
 import functools
@@ -80,15 +81,6 @@ class FormatError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _pack_id(name: str) -> bytes:
-    """name NUL-padded to 16 bytes; the containers have already judged it."""
-    return name.encode("ascii").ljust(_ID_BYTES, b"\0")
-
-
-def _raster_header(dtype_code: int, width: int, height: int, count: int) -> bytes:
-    return MAGIC_RASTER + struct.pack("<BBHIII", VERSION, dtype_code, 0, width, height, count)
-
-
 def _as_f32(values: np.ndarray, what: str) -> np.ndarray:
     """values as C-contiguous little-endian f32; one beyond f32's range is a ValueError, not inf."""
     with np.errstate(over="raise"):
@@ -98,49 +90,57 @@ def _as_f32(values: np.ndarray, what: str) -> np.ndarray:
             raise ValueError(f"{what} holds {np.abs(values).max():.6g}, beyond float32's range") from None
 
 
+def _frame(magic: bytes, dtype_code: int, dims: tuple, ids, planes):
+    """A GMS1 or GMSV file in pieces: the header, whose dims end in the
+    id count, with the ids, then each of `planes` as one C-contiguous
+    little-endian array (bytes.join and file.writelines take it as a
+    buffer), so a write holds a plane at a time, not the whole payload."""
+    yield magic + struct.pack(f"<BBH{len(dims) + 1}I", VERSION, dtype_code, 0, *dims, len(ids)) + b"".join(
+        name.encode("ascii").ljust(_ID_BYTES, b"\0") for name in ids)  # the containers judged the ids
+    for plane in planes:
+        yield np.ascontiguousarray(plane, _NP_DTYPES[dtype_code])
+
+
+def _raster_frame(payload):
+    """The GMS1 frame of a MultiChannelImage, SegmentMap or CloudMask; any
+    other type raises TypeError here, before a write opens its file."""
+    if isinstance(payload, MultiChannelImage):
+        code, ids = DTYPE_F32, payload.channel_ids
+        planes = (_as_f32(r.values, f"channel {cid!r}") for cid, r in payload.channels)
+    elif isinstance(payload, SegmentMap):
+        code, ids, planes = DTYPE_U32, ("labels",), (payload.labels,)
+    elif isinstance(payload, CloudMask):
+        code, ids, planes = DTYPE_U8, ("mask",), (payload.flags,)
+    else:
+        raise TypeError(f"cannot encode {type(payload).__name__} as GMS1")
+    return _frame(MAGIC_RASTER, code, (payload.width, payload.height), ids, planes)
+
+
+def _volume_frame(vol: HydrometeorVolume):
+    # payload is level-major: for each level, one plane per species
+    levels = (_as_f32(vol.values[:, k], f"level {k}") for k in range(vol.levels))
+    return _frame(MAGIC_VOLUME, DTYPE_F32, (vol.width, vol.height, vol.levels), vol.species, levels)
+
+
 def encode_raster_file(payload) -> bytes:
     """Serialize a MultiChannelImage, SegmentMap or CloudMask to GMS1 bytes."""
-    if isinstance(payload, MultiChannelImage):
-        head = _raster_header(DTYPE_F32, payload.width, payload.height, len(payload.channels))
-        ids = b"".join(_pack_id(cid) for cid, _ in payload.channels)
-        body = b"".join(_as_f32(r.values, f"channel {cid!r}").tobytes() for cid, r in payload.channels)
-        return head + ids + body
-    if isinstance(payload, SegmentMap):
-        head = _raster_header(DTYPE_U32, payload.width, payload.height, 1)
-        return head + _pack_id("labels") + payload.labels.astype(_NP_DTYPES[DTYPE_U32]).tobytes()
-    if isinstance(payload, CloudMask):
-        head = _raster_header(DTYPE_U8, payload.width, payload.height, 1)
-        return head + _pack_id("mask") + payload.flags.astype(_NP_DTYPES[DTYPE_U8]).tobytes()
-    raise TypeError(f"cannot encode {type(payload).__name__} as GMS1")
+    return b"".join(_raster_frame(payload))
 
 
 def write_raster_file(payload, path) -> None:
     """Write a GMS1 file. Identical payloads produce identical bytes."""
-    data = encode_raster_file(payload)
+    frame = _raster_frame(payload)
     with open(path, "wb") as fh:
-        fh.write(data)
-
-
-def _volume_chunks(vol: HydrometeorVolume):
-    """The GMSV file in pieces: the header bytes with the species ids, then
-    one C-contiguous f32 array per level (bytes.join and file.write take it
-    as a buffer), so a write holds one f32 level, not the whole payload."""
-    yield MAGIC_VOLUME + struct.pack(
-        "<BBHIIII", VERSION, DTYPE_F32, 0, vol.width, vol.height, vol.levels, len(vol.species)
-    ) + b"".join(_pack_id(s) for s in vol.species)
-    # payload is level-major: for each level, one plane per species
-    for k in range(vol.levels):
-        yield _as_f32(vol.values[:, k], f"level {k}")
+        fh.writelines(frame)
 
 
 def encode_volume_file(vol: HydrometeorVolume) -> bytes:
-    return b"".join(_volume_chunks(vol))
+    return b"".join(_volume_frame(vol))
 
 
 def write_volume_file(vol: HydrometeorVolume, path) -> None:
     with open(path, "wb") as fh:
-        for chunk in _volume_chunks(vol):
-            fh.write(chunk)
+        fh.writelines(_volume_frame(vol))
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +181,9 @@ def _check_dims(*dims):
 def _header(fh, magic: bytes, dtype_code: int, what: str):
     """Check the header of an open GMS1 or GMSV file that must hold `what`
     (e.g. "a u8 mask") data, and that the file is exactly as long as the
-    header says, before any payload is read. Returns (header dims, ids,
-    payload element count) with `fh` at the payload; the last dim counts
-    the ids (channels or species)."""
+    header says, before any payload is read. Returns (header dims, ids)
+    with `fh` at the payload; the last dim counts the ids (channels or
+    species)."""
     head = _take(fh, 4, "magic")
     if head != magic:
         raise FormatError(f"bad magic {head!r}, expected {magic!r}")
@@ -204,8 +204,7 @@ def _header(fh, magic: bytes, dtype_code: int, what: str):
         raise FormatError(f"truncated payload: header implies {size} bytes, file has {actual}")
     if actual > size:
         raise FormatError(f"trailing data: {actual - size} unexpected bytes")
-    ids = _unpack_ids(_take(fh, _ID_BYTES * dims[-1], "ids"), dims[-1])
-    return dims, ids, total
+    return dims, _unpack_ids(_take(fh, _ID_BYTES * dims[-1], "ids"), dims[-1])
 
 
 def _reader(read):
@@ -222,20 +221,34 @@ def _reader(read):
     return checked
 
 
-def _read_gms1(path, dtype_code: int, what: str, channel_id=None):
-    """GMS1 channel ids and (channels, height, width) planes; with
-    channel_id, exactly one channel of that id."""
-    np_dtype = np.dtype(_NP_DTYPES[dtype_code])
+def _planes(path, magic: bytes, dtype_code: int, what: str):
+    """Generator behind every reader: first (header dims, ids), once every
+    header, id and file-size check has passed, then each plane in file
+    order, read into one reused read-only buffer and valid until the next:
+    a GMS1 channel (height, width) or a GMSV level (species, height, width)."""
     with open(path, "rb") as fh:
-        (width, height, count), ids, total = _header(fh, MAGIC_RASTER, dtype_code, what)
-        payload = _take(fh, total * np_dtype.itemsize, "payload")
-    if channel_id is not None:
-        if count != 1:
-            raise FormatError(f"{what} file must hold one channel, found {count}")
-        if ids[0] != channel_id:
-            raise FormatError(f"{what} file's channel id must be {channel_id!r}, got {ids[0]!r}")
-    # a read-only view of the payload bytes, not a copy
-    return ids, np.frombuffer(payload, dtype=np_dtype, count=total).reshape(count, height, width)
+        dims, ids = _header(fh, magic, dtype_code, what)
+        yield dims, ids
+        width, height, count, *nspecies = dims
+        buf = np.empty((*nspecies, height, width), dtype=_NP_DTYPES[dtype_code])
+        plane = buf.view()
+        plane.setflags(write=False)
+        for k in range(count):
+            if fh.readinto(buf) != buf.nbytes:  # the file shrank after the size check
+                raise FormatError(f"truncated payload in plane {k}")
+            yield plane
+
+
+def _one_plane(path, dtype_code: int, what: str, channel_id: str) -> np.ndarray:
+    """The one plane of a GMS1 file that must hold one channel of id channel_id."""
+    planes = _planes(path, MAGIC_RASTER, dtype_code, what)
+    (_, _, count), ids = next(planes)
+    if count != 1:
+        raise FormatError(f"{what} file must hold one channel, found {count}")
+    if ids[0] != channel_id:
+        raise FormatError(f"{what} file's channel id must be {channel_id!r}, got {ids[0]!r}")
+    (plane,) = planes
+    return plane
 
 
 @_reader
@@ -244,46 +257,30 @@ def read_raster_file(path) -> MultiChannelImage:
 
     The container does not record units; channels are read as kelvin.
     """
-    ids, planes = _read_gms1(path, DTYPE_F32, "an f32 image")
+    planes = _planes(path, MAGIC_RASTER, DTYPE_F32, "an f32 image")
+    _, ids = next(planes)
     channels = []
-    for cid, plane in zip(ids, planes):
+    for cid, plane in zip(ids, planes, strict=True):
         # a signalling NaN cast to float64 warns; scanning first keeps that a FormatError
         if not np.all(np.isfinite(plane)):
             raise FormatError(f"non-finite payload values in channel {cid!r}")
-        channels.append((cid, Raster2D(plane, Units.KELVIN)))
+        channels.append((cid, Raster2D(plane, Units.KELVIN)))  # a float64 copy of the buffer
     return MultiChannelImage(tuple(channels))
 
 
 @_reader
 def read_segment_map(path) -> SegmentMap:
     """Read a GMS1 u32 label file as a SegmentMap (0 = unlabeled)."""
-    _, (labels,) = _read_gms1(path, DTYPE_U32, "a u32 segment", "labels")
-    return SegmentMap(labels)
+    return SegmentMap(_one_plane(path, DTYPE_U32, "a u32 segment", "labels"))
 
 
 @_reader
 def read_cloud_mask(path) -> CloudMask:
     """Read a GMS1 u8 mask file."""
-    _, (plane,) = _read_gms1(path, DTYPE_U8, "a u8 mask", "mask")
-    if not np.isin(plane, (0, 1)).all():
+    plane = _one_plane(path, DTYPE_U8, "a u8 mask", "mask")
+    if plane.max() > 1:
         raise FormatError("mask payload bytes must be 0 or 1")
     return CloudMask(plane.astype(bool))
-
-
-def _volume_levels(path):
-    """Generator behind both volume readers: first (species, shape), then
-    the levels, each read into the same buffer. The values are not
-    checked here; each reader checks them once."""
-    with open(path, "rb") as fh:
-        (width, height, levels, nspecies), ids, _ = _header(fh, MAGIC_VOLUME, DTYPE_F32, "an f32 volume")
-        yield check_species(ids), (levels, height, width)
-        buf = np.empty((nspecies, height, width), dtype=_NP_DTYPES[DTYPE_F32])
-        plane = buf.view()
-        plane.setflags(write=False)
-        for k in range(levels):
-            if fh.readinto(buf) != buf.nbytes:  # the file shrank after the size check
-                raise FormatError(f"truncated payload in level {k}")
-            yield plane
 
 
 def _checked_levels(planes):
@@ -312,19 +309,20 @@ def read_volume_levels(path):
         array. All levels share one buffer: a plane is valid only until
         the next one is read, so copy what must outlive that.
     """
-    planes = _volume_levels(path)
-    species, shape = next(planes)
-    return species, shape, _checked_levels(planes)
+    planes = _planes(path, MAGIC_VOLUME, DTYPE_F32, "an f32 volume")
+    (width, height, levels, _), ids = next(planes)
+    return check_species(ids), (levels, height, width), _checked_levels(planes)
 
 
 @_reader
 def read_volume_file(path) -> HydrometeorVolume:
     """Read a GMSV hydrometeor volume file."""
-    planes = _volume_levels(path)
-    species, shape = next(planes)
+    planes = _planes(path, MAGIC_VOLUME, DTYPE_F32, "an f32 volume")
+    (width, height, levels, nspecies), ids = next(planes)
+    species = check_species(ids)  # before any level is read
     # one float64 copy, filled level by level, then checked and kept as is
     # by the container
-    values = np.empty((len(species), *shape))
+    values = np.empty((nspecies, levels, height, width))
     for k, plane in enumerate(planes):
         values[:, k] = plane
     return HydrometeorVolume(species, values)

@@ -179,10 +179,12 @@ class TestGradient:
         assert list(out.iterdir()) == []
         assert "channel 'gradient'" in capsys.readouterr().err
 
-    def test_unknown_channel_exits_2(self, tmp_path):
+    def test_unknown_channel_exits_2(self, tmp_path, capsys):
         scene, _ = synth(tmp_path, preset="mixed")
         assert run("gradient", "--input", scene, "--channels", "visible",
                    "--output", tmp_path / "o") == 2
+        have = read_raster_file(scene).channel_ids
+        assert capsys.readouterr().err == f"cloudseg: no channel 'visible' (have {have})\n"
 
 
 class TestSegment:
@@ -240,7 +242,7 @@ class TestSegment:
         code = run("segment", "--input", scene, "--bt-channel", "visible", "--segments-output", out / "s",
                    "--mask-output", out / "m", "--stats-output", out / "c")
         assert code == 2
-        assert f"no channel 'visible' (have {have})" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"cloudseg: no channel 'visible' (have {have})\n"
         assert list(out.iterdir()) == []
 
     def test_overgrown_min_seed_area_is_algorithmic_error(self, tmp_path):
@@ -460,6 +462,32 @@ class TestAtomicOutputs:
         out.mkdir()
         assert run("truth-mask", "--input", vol_p, "--output", out / "truth.gms1") == 2
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("clash", ["directory", "same-name", "dot-slash"])
+    @pytest.mark.parametrize("command, flags", [
+        ("segment", ["--segments-output", "--mask-output", "--stats-output"]),
+        ("ccs", ["--segments-output", "--mask-output"]),
+        ("synth", ["--scene-output", "--volume-output"]),
+    ], ids=["segment", "ccs", "synth"])
+    def test_refused_outputs_write_nothing(self, tmp_path, monkeypatch, mixed_inputs, command, flags, clash):
+        """An output that is a directory, or one file named twice, exits 2
+        before any output is written: a file already at an output path
+        keeps its bytes and no temporary file is left."""
+        out = tmp_path / "out"
+        out.mkdir()
+        monkeypatch.chdir(out)
+        paths = [f"o{i}" for i in range(len(flags))]
+        (out / paths[0]).write_bytes(b"keep")
+        if clash == "directory":
+            (out / paths[-1]).mkdir()
+        else:
+            paths[-1] = paths[0] if clash == "same-name" else f"./{paths[0]}"
+        source = ["--preset", "mixed"] if command == "synth" else ["--input", mixed_inputs[0]]
+        assert run(command, *source, *[a for pair in zip(flags, paths) for a in pair]) == 2
+        assert sorted(p.name for p in out.iterdir()) == sorted({"o0", paths[-1].lstrip("./")})
+        assert (out / "o0").read_bytes() == b"keep"
+        if clash == "directory":
+            assert list((out / paths[-1]).iterdir()) == []
 
     def test_success_replaces_existing_outputs(self, tmp_path):
         scene, volume = synth(tmp_path)

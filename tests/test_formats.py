@@ -247,6 +247,14 @@ class TestDistinctErrors:
         with pytest.raises(ValueError, match="level 2"):
             write_volume_file(HydrometeorVolume(("rain",), values), tmp_path / "v.gmsv")
 
+    def test_volume_is_not_a_raster(self, tmp_path):
+        vol = HydrometeorVolume(("rain",), np.zeros((1, 1, 1, 1)))
+        with pytest.raises(TypeError, match="cannot encode HydrometeorVolume as GMS1"):
+            encode_raster_file(vol)
+        with pytest.raises(TypeError, match="HydrometeorVolume"):  # before the file is opened
+            write_raster_file(vol, tmp_path / "x.gms1")
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):
             write_raster_file(one_channel([[1.0]]), tmp_path / "missing_dir" / "x.gms1")
@@ -264,11 +272,14 @@ class TestContainerErrors:
         (read_volume_file, volume_header(1, 1, 1, 2) + ids("rain", "rain") + f32(0.0, 0.0), "duplicate"),
         (read_volume_file, volume_header(1, 1, 1, 1) + ids("rain") + f32(-1.0), "non-negative"),
         (read_cloud_mask, header(2, 1, 1, 1) + ids("labels") + b"\x01", "channel id must be 'mask'"),
+        (read_cloud_mask, header(2, 1, 1, 2) + ids("mask", "more") + b"\x01\x00", "must hold one channel, found 2"),
+        (read_segment_map, header(3, 1, 1, 2) + ids("labels", "more") + bytes(8), "must hold one channel, found 2"),
         (read_segment_map, header(3, 1, 1, 1) + ids("mask") + bytes(4), "channel id must be 'labels'"),
         (read_segment_map, header(3, 1, 1, 1) + ids("labels") + np.array([2 ** 31], "<u4").tobytes(),
          "non-negative int32"),
     ], ids=["dup-channel", "empty-channel-id", "nul-in-channel-id", "unknown-species", "dup-species",
-            "negative-ratio", "mask-id", "segment-id", "label-beyond-int32"])
+            "negative-ratio", "mask-id", "two-channel-mask", "two-channel-segment", "segment-id",
+            "label-beyond-int32"])
     def test_raises_format_error(self, tmp_path, reader, data, match):
         p = tmp_path / "bad"
         p.write_bytes(data)
@@ -334,6 +345,58 @@ def test_streamed_truth_mask_holds_a_level_not_the_volume(tmp_path):
         tracemalloc.stop()
     np.testing.assert_array_equal(mask.flags, derive_truth_mask(vol).flags)
     assert peak <= 0.5 * size, f"peak {peak / size:.2f}x the file size"
+
+
+def _traced_peak(action) -> int:
+    """Peak bytes allocated while action() runs, its result included."""
+    tracemalloc.start()
+    try:
+        action()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCodecMemory:
+    """At 1024 x 1024 a read or write holds one or two planes beyond its
+    input or result. Holding the whole payload as bytes, and checking a
+    mask through an int64 copy, held 2 to 13 planes: an image write 4 f32
+    planes, a segment write 2 u32 planes, a mask read 13 mask planes and
+    an image read its channels plus 2.25 f32 planes."""
+
+    side = 1024
+
+    def _image(self) -> MultiChannelImage:
+        rng = np.random.default_rng(5)
+        return MultiChannelImage(tuple(
+            (cid, Raster2D(rng.normal(250.0, 10.0, size=(self.side, self.side)), Units.KELVIN)) for cid in "ab"
+        ))
+
+    def test_image_write_holds_a_channel_at_a_time(self, tmp_path):
+        img = self._image()
+        f32_plane = 4 * self.side ** 2
+        peak = _traced_peak(lambda: write_raster_file(img, tmp_path / "i.gms1"))
+        assert peak <= 2.5 * f32_plane, f"{peak / f32_plane:.2f} f32 planes"
+
+    def test_segment_write_holds_one_u32_plane(self, tmp_path):
+        seg = SegmentMap((np.arange(self.side ** 2) % 1000 + 1).reshape(self.side, self.side))
+        u32_plane = 4 * self.side ** 2
+        peak = _traced_peak(lambda: write_raster_file(seg, tmp_path / "s.gms1"))
+        assert peak <= 1.5 * u32_plane, f"{peak / u32_plane:.2f} u32 planes"
+
+    def test_mask_read_holds_its_buffer_and_result(self, tmp_path):
+        p = tmp_path / "m.gms1"
+        write_raster_file(CloudMask(np.random.default_rng(6).random((self.side, self.side)) > 0.5), p)
+        mask_plane = self.side ** 2
+        peak = _traced_peak(lambda: read_cloud_mask(p))
+        assert peak <= 3 * mask_plane, f"{peak / mask_plane:.2f} mask planes"
+
+    def test_image_read_holds_its_channels_and_one_f32_plane(self, tmp_path):
+        p = tmp_path / "i.gms1"
+        write_raster_file(self._image(), p)
+        channels, f32_plane = 2 * 8 * self.side ** 2, 4 * self.side ** 2
+        peak = _traced_peak(lambda: read_raster_file(p))
+        assert peak - channels <= 1.5 * f32_plane, f"channels + {(peak - channels) / f32_plane:.2f} f32 planes"
 
 
 class TestVolumeLevels:

@@ -147,6 +147,12 @@ class TestGenerateMarkers:
         markers = generate_markers(field, result, min_seed_area=1)
         assert int((markers.labels > 0).sum()) == int((field.values <= result.threshold).sum())
 
+    def test_threshold_below_the_field_is_an_error(self):
+        field = make_field(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        below = OtsuResult(threshold=0.5, between_class_variance=1.0)
+        with pytest.raises(NoSeedRegionsError, match="no pixel falls at or below the threshold"):
+            generate_markers(field, below)
+
     def test_single_pixel_component_demoted(self):
         field = make_field(np.array([[0.0, 1.0], [1.0, 1.0]]))
         fake = OtsuResult(threshold=0.5, between_class_variance=1.0)

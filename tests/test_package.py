@@ -1,6 +1,7 @@
 """The package's lazy export table."""
 
-import importlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -34,3 +35,22 @@ def test_submodules_import_from_the_package():
 
     assert cli is importlib.import_module("cloudseg.cli")
     assert callable(cli.main)
+
+
+
+def test_benchmark_span_sites_resolve():
+    """perfbench/spans.py wraps 28 names of the package, among them the
+    codec readers and writer that cloudseg.cli imports; each must still
+    resolve. ROADMAP item 1b replaces this with a trace the package writes."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    originals = [getattr(owner, attr, None) for owner, attr, *_ in spans._SITES]
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert len(tracer._patched) == len(spans._SITES) == 28
+    finally:
+        tracer.restore()
+    assert [getattr(owner, attr) for owner, attr, *_ in spans._SITES] == originals

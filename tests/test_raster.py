@@ -57,6 +57,10 @@ class TestRaster2D:
         with pytest.raises(ValueError, match="positive"):
             make(shape)
 
+    def test_rejects_units_that_are_not_units(self):
+        with pytest.raises(ValueError, match="bad units: 'kelvin'"):
+            Raster2D([[1.0]], "kelvin")
+
     def test_values_are_read_only(self):
         r = Raster2D([[1.0, 2.0]])
         with pytest.raises(ValueError):
@@ -83,6 +87,10 @@ class TestMultiChannelImage:
             MultiChannelImage((("x", a), ("x", a)))
         with pytest.raises(ValueError, match="ASCII"):  # the same id once NUL-padded in a file
             MultiChannelImage((("x", a), ("x\0", a)))
+
+    def test_rejects_a_channel_that_is_not_a_raster(self):
+        with pytest.raises(ValueError, match="channel 'ir' is not a Raster2D"):
+            MultiChannelImage((("ir", [[1.0]]),))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
@@ -159,6 +167,10 @@ class TestHydrometeorVolume:
     def test_rejects_unknown_species(self):
         with pytest.raises(ValueError, match="unknown species"):
             HydrometeorVolume(("slush",), np.zeros((1, 1, 1, 1)))
+
+    def test_rejects_no_species(self):
+        with pytest.raises(ValueError, match="at least one species"):
+            HydrometeorVolume((), np.zeros((1, 1, 1, 1)))
 
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError, match="non-negative"):

@@ -256,6 +256,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown channel"):
             SceneSpec(width=8, height=8, channels=("visible",))
 
+    @pytest.mark.parametrize("channels, match", [
+        ((), "at least one channel"),
+        (("ir_window", "ir_window"), "duplicate channels"),
+    ], ids=["none", "repeated"])
+    def test_channel_list(self, channels, match):
+        with pytest.raises(ValueError, match=match):
+            SceneSpec(width=8, height=8, channels=channels)
+
+    def test_cloud_must_be_a_cloud_spec(self):
+        with pytest.raises(ValueError, match=re.escape("clouds[0] is not a CloudSpec")):
+            SceneSpec(width=8, height=8, clouds=(((1.0, 1.0), 2.0, 260.0),))
+
     def test_negative_noise(self):
         with pytest.raises(ValueError, match="noise"):
             SceneSpec(width=8, height=8, noise_sigma=-0.1)
@@ -329,6 +341,19 @@ class TestSpecFiles:
         path = tmp_path / "s.spec"
         path.write_text("width = 8\nheight = 6\nwetness = 3\n")
         with pytest.raises(ValueError, match="unknown key"):
+            read_scene_spec(path)
+
+    def test_line_without_equals_names_file_and_line(self, tmp_path):
+        path = tmp_path / "s.spec"
+        path.write_text("width = 8\nheight 6\n")
+        with pytest.raises(ValueError, match=re.escape("s.spec:2: expected `key = value`, got 'height 6'")):
+            read_scene_spec(path)
+
+    def test_cloud_missing_a_required_field(self, tmp_path):
+        path = tmp_path / "s.spec"
+        path.write_text("width = 8\nheight = 6\ncloud.0.center_row = 2\ncloud.0.center_col = 2\n"
+                        "cloud.0.min_bt = 260\n")
+        with pytest.raises(ValueError, match=re.escape("s.spec: cloud.0 missing 'radius_px'")):
             read_scene_spec(path)
 
     def test_cloud_indices_must_be_dense(self, tmp_path):
