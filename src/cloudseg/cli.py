@@ -131,27 +131,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _new_temp(path) -> str:
+    """A new empty file beside path, the first free name of <path>.<pid>.tmp, <path>.<pid>.1.tmp, ...
+    (O_EXCL never takes an existing file; 0o666 less the umask is open(path, "wb")'s mode)."""
+    n = 0
+    while True:
+        temp = f"{path}.{os.getpid()}{f'.{n}' if n else ''}.tmp"
+        with contextlib.suppress(FileExistsError):
+            os.close(os.open(temp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666))
+            return temp
+        n += 1
+
+
 @contextlib.contextmanager
 def _outputs(*paths):
-    """A command's outputs, written all or none: yields a temporary path
-    beside each of `paths`. A clean exit moves every temporary file onto
-    its path; any error removes them. A path named twice (``x`` and
-    ``./x`` included) or a directory is refused before anything is
-    written, so no move can fail halfway."""
+    """A command's outputs, written all or none: yields a new temporary
+    file beside each of `paths`. A clean exit moves every temporary file
+    onto its path; any error removes them, and no other file is touched.
+    A path named twice (``x`` and ``./x`` included) or a directory is
+    refused before anything is written, so no move can fail halfway."""
     real = [os.path.realpath(path) for path in paths]
     for path, where in zip(paths, real):
         if real.count(where) > 1:
             raise ValueError(f"output {path} is named more than once")
         if os.path.isdir(path):
             raise ValueError(f"output {path} is a directory")
-    temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
+    made = []  # the temporary files created and not yet moved
     try:
-        yield temps
-        for temp, path in zip(temps, paths):
+        made.extend(_new_temp(path) for path in paths)
+        yield tuple(made)
+        for temp, path in list(zip(made, paths)):
             os.replace(temp, path)
+            made.remove(temp)
     finally:
-        for temp in temps:
-            with contextlib.suppress(OSError):  # moved into place, or never created
+        for temp in made:
+            with contextlib.suppress(OSError):  # already gone
                 os.remove(temp)
 
 

@@ -225,7 +225,9 @@ def _planes(path, magic: bytes, dtype_code: int, what: str):
     """Generator behind every reader: first (header dims, ids), once every
     header, id and file-size check has passed, then each plane in file
     order, read into one reused read-only buffer and valid until the next:
-    a GMS1 channel (height, width) or a GMSV level (species, height, width)."""
+    a GMS1 channel (height, width) or a GMSV level (species, height, width).
+    Every payload value is judged here, a plane at a time: f32 channels finite,
+    mask bytes 0 or 1, mixing ratios finite and non-negative."""
     with open(path, "rb") as fh:
         dims, ids = _header(fh, magic, dtype_code, what)
         yield dims, ids
@@ -236,6 +238,16 @@ def _planes(path, magic: bytes, dtype_code: int, what: str):
         for k in range(count):
             if fh.readinto(buf) != buf.nbytes:  # the file shrank after the size check
                 raise FormatError(f"truncated payload in plane {k}")
+            try:
+                if nspecies:
+                    check_mixing_ratios(plane)
+                elif dtype_code == DTYPE_F32 and not np.all(np.isfinite(plane)):  # before a float64 cast warns
+                    raise ValueError("non-finite payload values")
+                elif dtype_code == DTYPE_U8 and plane.max() > 1:
+                    raise ValueError("payload bytes must be 0 or 1")
+            except ValueError as exc:
+                where = f"level {k}" if nspecies else f"channel {ids[k]!r}"
+                raise FormatError(f"invalid contents in {where}: {exc}") from exc
             yield plane
 
 
@@ -259,13 +271,8 @@ def read_raster_file(path) -> MultiChannelImage:
     """
     planes = _planes(path, MAGIC_RASTER, DTYPE_F32, "an f32 image")
     _, ids = next(planes)
-    channels = []
-    for cid, plane in zip(ids, planes, strict=True):
-        # a signalling NaN cast to float64 warns; scanning first keeps that a FormatError
-        if not np.all(np.isfinite(plane)):
-            raise FormatError(f"non-finite payload values in channel {cid!r}")
-        channels.append((cid, Raster2D(plane, Units.KELVIN)))  # a float64 copy of the buffer
-    return MultiChannelImage(tuple(channels))
+    # each Raster2D is a float64 copy of the buffer
+    return MultiChannelImage(tuple((cid, Raster2D(p, Units.KELVIN)) for cid, p in zip(ids, planes, strict=True)))
 
 
 @_reader
@@ -277,31 +284,16 @@ def read_segment_map(path) -> SegmentMap:
 @_reader
 def read_cloud_mask(path) -> CloudMask:
     """Read a GMS1 u8 mask file."""
-    plane = _one_plane(path, DTYPE_U8, "a u8 mask", "mask")
-    if plane.max() > 1:
-        raise FormatError("mask payload bytes must be 0 or 1")
-    return CloudMask(plane.astype(bool))
-
-
-def _checked_levels(planes):
-    """The levels of `planes`, each checked finite and non-negative as it is read."""
-    for k, plane in enumerate(planes):
-        try:
-            check_mixing_ratios(plane)
-        except ValueError as exc:
-            raise FormatError(f"invalid contents in level {k}: {exc}") from exc
-        yield plane
+    return CloudMask(_one_plane(path, DTYPE_U8, "a u8 mask", "mask").astype(bool))
 
 
 @_reader
 def read_volume_levels(path):
     """Open a GMSV hydrometeor volume for reading one level at a time.
 
-    Every header check, the species rules and the file-size check run
-    before this returns, so a malformed, truncated or overlong file raises
-    FormatError before any level is read. The levels are then checked one
-    by one as they are read (finite, non-negative), so a bad level raises
-    FormatError from the iterator.
+    The header, species and file size are checked before this returns, so
+    a malformed, truncated or overlong file fails before any level is read;
+    a bad level raises FormatError from the iterator that reads it.
 
     Returns:
         (species, (levels, height, width), planes). ``planes`` yields each
@@ -311,18 +303,15 @@ def read_volume_levels(path):
     """
     planes = _planes(path, MAGIC_VOLUME, DTYPE_F32, "an f32 volume")
     (width, height, levels, _), ids = next(planes)
-    return check_species(ids), (levels, height, width), _checked_levels(planes)
+    return check_species(ids), (levels, height, width), planes
 
 
 @_reader
 def read_volume_file(path) -> HydrometeorVolume:
-    """Read a GMSV hydrometeor volume file."""
-    planes = _planes(path, MAGIC_VOLUME, DTYPE_F32, "an f32 volume")
-    (width, height, levels, nspecies), ids = next(planes)
-    species = check_species(ids)  # before any level is read
-    # one float64 copy, filled level by level, then checked and kept as is
-    # by the container
-    values = np.empty((nspecies, levels, height, width))
+    """Read a GMSV hydrometeor volume file: read_volume_levels, copied
+    level by level into one float64 array that the container keeps."""
+    species, (levels, height, width), planes = read_volume_levels(path)
+    values = np.empty((len(species), levels, height, width))
     for k, plane in enumerate(planes):
         values[:, k] = plane
     return HydrometeorVolume(species, values)

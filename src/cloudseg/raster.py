@@ -143,6 +143,8 @@ class SegmentMap(_Grid):
     output (every pixel 1..K) and threshold patches (0 = clear sky).
     ``MarkerMap`` is another name for this class. Labels must be
     non-negative int32 values with every label 1..K present; K may be 0.
+    The constructor counts them once: ``count`` is K and ``areas`` the
+    read-only pixel count of each label 0..K (``areas[0]`` the unlabeled).
     The single-8-connected-component property of each marker is
     guaranteed by the producers (generate_markers) and checked by the
     test suite's brute-force flood oracle.
@@ -159,10 +161,9 @@ class SegmentMap(_Grid):
             raise ValueError("SegmentMap labels must be non-negative int32 values")
         lab = lab.astype(np.int32)
         k = int(lab.max())
-        if k <= lab.size:
-            seen = np.flatnonzero(np.bincount(lab.ravel(), minlength=k + 1))
-        else:  # cannot be consecutive, and k may be huge: no array of size k
-            seen = np.unique(lab)
+        # k > lab.size cannot be consecutive, and k may be huge: no array of size k
+        areas = np.bincount(lab.ravel()) if k <= lab.size else None
+        seen = np.flatnonzero(areas) if areas is not None else np.unique(lab)
         seen = seen[seen > 0]
         if seen.size < k:
             # the first 10 absent labels all lie in 1..seen.size + 10
@@ -171,10 +172,8 @@ class SegmentMap(_Grid):
             more = f" and {k - seen.size - 10} more" if k - seen.size > 10 else ""
             raise ValueError(f"SegmentMap labels must be consecutive 1..K, missing {missing}{more}")
         object.__setattr__(self, "labels", _freeze(lab))
-
-    @property
-    def count(self) -> int:
-        return int(self.labels.max())
+        object.__setattr__(self, "count", k)
+        object.__setattr__(self, "areas", _freeze(areas))
 
     @property
     def shape(self) -> tuple:

@@ -95,7 +95,7 @@ def merge_small_regions(seg: SegmentMap, min_area: int = 1) -> SegmentMap:
     min_area = check_number(min_area, "min_area", int, 1)
     labels = seg.labels
     top = seg.count
-    areas = np.bincount(labels.ravel(), minlength=top + 1).tolist()
+    areas = seg.areas.tolist()
     heap = sorted((a, l) for l, a in enumerate(areas) if l and a < min_area)  # a valid heap
     if not heap:
         return seg
@@ -152,10 +152,7 @@ def classify_regions(seg: SegmentMap, bt: Raster2D, gradient: Raster2D,
     if gradient.shape != seg.shape:
         raise ValueError(f"shape mismatch: segments {seg.shape} vs gradient {gradient.shape}")
     clear_sky_cutoff = check_number(clear_sky_cutoff, "clear_sky_cutoff")
-    labels = seg.labels
-    k = seg.count
-    flat = labels.ravel()
-    areas = np.bincount(flat, minlength=k + 1)
+    k, flat = seg.count, seg.labels.ravel()
     bt_sums = np.bincount(flat, weights=bt.values.ravel(), minlength=k + 1)
     bt_min = np.full(k + 1, np.inf)
     np.minimum.at(bt_min, flat, bt.values.ravel())
@@ -163,7 +160,7 @@ def classify_regions(seg: SegmentMap, bt: Raster2D, gradient: Raster2D,
     stats = []
     cloudy = np.zeros(k + 1, dtype=bool)
     for label in range(1, k + 1):
-        area = int(areas[label])
+        area = int(seg.areas[label])
         mean_bt = float(bt_sums[label] / area)
         is_cloud = mean_bt < clear_sky_cutoff
         cloudy[label] = is_cloud
@@ -175,4 +172,4 @@ def classify_regions(seg: SegmentMap, bt: Raster2D, gradient: Raster2D,
             mean_gradient=float(grad_sums[label] / area),
             is_cloud=is_cloud,
         ))
-    return CloudMask(cloudy[labels]), stats
+    return CloudMask(cloudy[seg.labels]), stats

@@ -7,6 +7,7 @@ loops. Slow is fine; agreeing for the wrong reason is not.
 """
 
 import heapq
+import struct
 
 import numpy as np
 
@@ -233,6 +234,81 @@ def rescan_merge(labels: np.ndarray, min_area: int) -> np.ndarray:
     renumber = {old: new for new, old in enumerate(survivors, start=1)}
     renumber[0] = 0
     return np.array([[renumber[v] for v in row] for row in out.tolist()], dtype=np.int32)
+
+
+def gms1_bytes(dtype_code: int, channel_id: str, plane: np.ndarray) -> bytes:
+    """A one-channel GMS1 file (u8 mask, dtype 2, or u32 labels, dtype 3),
+    packed field by field from the format's layout table."""
+    h, w = plane.shape
+    head = b"GMS1" + struct.pack("<BBHIII", 1, dtype_code, 0, w, h, 1)
+    return head + channel_id.encode("ascii").ljust(16, b"\0") + plane.astype({2: "u1", 3: "<u4"}[dtype_code]).tobytes()
+
+
+def _keep_components(labels: np.ndarray, min_area: int) -> np.ndarray:
+    """Drop the labels with fewer than min_area pixels to 0 and number the
+    rest 1.. in ascending order of their old labels."""
+    areas = {}
+    for v in labels.ravel().tolist():
+        areas[v] = areas.get(v, 0) + 1
+    renumber = {0: 0}
+    for old in sorted(areas):
+        if old and areas[old] >= min_area:
+            renumber[old] = len(renumber)
+    return np.array([[renumber.get(v, 0) for v in row] for row in labels.tolist()], dtype=np.int32)
+
+
+def segment_reference(channels, bt: np.ndarray, n_scales: int = 5, normalize: bool = False, bins: int = 256,
+                      min_seed_area: int = 8, min_area: int = 0, clear_sky_cutoff: float = 280.0):
+    """`cloudseg segment` composed from the references above.
+
+    channels are the selected 2D channels in order and bt the one
+    classified against. Returns the label map, the cloud flags and the
+    stats CSV text, or None where the command must exit 3 (a constant
+    gradient field, or no seed component of min_seed_area pixels).
+    """
+    field = 0.0
+    for values in channels:
+        grad = multiscale_reference(np.asarray(values, dtype=np.float64), n_scales)
+        if normalize and grad.max() > 0:
+            grad = grad / grad.max()
+        field = field + grad
+    if field.min() == field.max():
+        return None
+    threshold, _ = exhaustive_otsu(field, bins)
+    markers = _keep_components(flood_components(field <= threshold), min_seed_area)
+    if markers.max() == 0:
+        return None
+    labels = all_seeds_flood(field, markers)
+    if min_area > 0:
+        labels = rescan_merge(labels, min_area)
+    h, w = labels.shape
+    cloudy = np.zeros(labels.shape, dtype=bool)
+    rows = ["label,area,mean_bt,min_bt,mean_gradient,is_cloud"]
+    for label in range(1, int(labels.max()) + 1):
+        area, bt_sum, bt_min, grad_sum = 0, 0.0, np.inf, 0.0
+        for r in range(h):
+            for c in range(w):
+                if labels[r, c] == label:
+                    area += 1
+                    bt_sum += float(bt[r, c])
+                    bt_min = min(bt_min, float(bt[r, c]))
+                    grad_sum += float(field[r, c])
+        mean_bt = bt_sum / area
+        is_cloud = mean_bt < clear_sky_cutoff
+        cloudy[labels == label] = is_cloud
+        rows.append(f"{label},{area},{mean_bt:.6f},{bt_min:.6f},{grad_sum / area:.6f},{str(is_cloud).lower()}")
+    return labels, cloudy, "".join(f"{row}\n" for row in rows)
+
+
+def ccs_reference(bt: np.ndarray, levels, min_area: int = 50):
+    """`cloudseg ccs` composed from the references above: components at or
+    below the first level, an all-seeds flood capped at each later level,
+    then the rescan merge. Returns the label map; its cloud mask is
+    labels != 0."""
+    labels = flood_components(bt <= levels[0])
+    for level in levels[1:]:
+        labels = all_seeds_flood(bt, labels, limit=level)
+    return rescan_merge(labels, min_area)
 
 
 def tally(pred: np.ndarray, truth: np.ndarray):

@@ -128,17 +128,6 @@ class TestCloudMask:
         assert mask.cloud_count == int((seg.labels != 0).sum())
 
 
-def ccs_oracle(bt, cfg):
-    """CCS composed from the brute-force references: components at or
-    below the first level, an all-seeds flood capped at each later level,
-    then the rescan merge."""
-    levels = cfg.threshold_levels
-    labels = oracles.flood_components(bt <= levels[0])
-    for level in levels[1:]:
-        labels = oracles.all_seeds_flood(bt, labels, limit=level)
-    return oracles.rescan_merge(labels, cfg.min_area)
-
-
 def random_bt(rng):
     shape = rng.integers(1, 13, size=2)
     if rng.random() < 0.2:
@@ -156,4 +145,5 @@ def test_matches_brute_force_oracle():
         cfg = CcsConfig(threshold_levels=schedules[rng.integers(len(schedules))],
                         min_area=int(rng.choice([1, 2, 3, 5, 8, 20])))
         got = ccs_segment(make_bt(bt), cfg).labels
-        np.testing.assert_array_equal(got, ccs_oracle(bt, cfg), err_msg=f"{bt!r}\n{cfg}")
+        want = oracles.ccs_reference(bt, cfg.threshold_levels, cfg.min_area)
+        np.testing.assert_array_equal(got, want, err_msg=f"{bt!r}\n{cfg}")

@@ -498,6 +498,33 @@ class TestAtomicOutputs:
         assert sorted(p.name for p in out.iterdir()) == ["truth.gms1"]
         assert read_cloud_mask(out / "truth.gms1").cloud_count > 0
 
+    @pytest.mark.parametrize("peak", ["0.002", "1e300"], ids=["success", "failed-volume-write"])
+    def test_user_files_at_temporary_names_are_never_touched(self, tmp_path, peak):
+        """Files the user already has at the names a temporary file would
+        take keep their bytes, whether the command succeeds or fails in
+        its writes, and an output gets the mode open(..., "wb") gives."""
+        spec_path = tmp_path / "scene.spec"
+        spec_path.write_text("width = 8\nheight = 6\ncloud.0.center_row = 3\ncloud.0.center_col = 4\n"
+                             f"cloud.0.radius_px = 1.5\ncloud.0.min_bt = 260\ncloud.0.hydrometeor_peak = {peak}\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        pid = os.getpid()
+        users = {f"s.gms1.{pid}.tmp": b"user data", f"s.gms1.{pid}.1.tmp": b"more", f"v.gmsv.{pid}.tmp": b"v"}
+        for name, data in users.items():
+            (out / name).write_bytes(data)
+        succeeds = peak != "1e300"
+        assert run("synth", "--spec", spec_path, "--scene-output", out / "s.gms1",
+                   "--volume-output", out / "v.gmsv") == (0 if succeeds else 2)
+        outputs = ["s.gms1", "v.gmsv"] if succeeds else []
+        assert sorted(p.name for p in out.iterdir()) == sorted([*users, *outputs])
+        for name, data in users.items():
+            assert (out / name).read_bytes() == data
+        if succeeds:
+            assert read_raster_file(out / "s.gms1").shape == (6, 8)
+            with open(tmp_path / "plain", "wb"):
+                pass
+            assert (out / "s.gms1").stat().st_mode == (tmp_path / "plain").stat().st_mode
+
 
 # A fresh interpreter imports `module`, notes whether that loaded numpy, runs
 # each argv through the process entry point, then prints what it observed.

@@ -435,6 +435,38 @@ class TestVolumeLevels:
             next(planes)
 
 
+def _volume_values(path):
+    return read_volume_file(path).values
+
+
+def _volume_levels(path):
+    return list(read_volume_levels(path)[2])
+
+
+class TestPlaneContents:
+    """The plane reader judges every payload value, so each reader names
+    the bad plane in one form: "invalid contents in channel 'x': ..." or
+    "... in level k: ...". A mask file has one plane, its channel 'mask'."""
+
+    @pytest.mark.parametrize("read, data, match", [
+        (read_raster_file, header(1, 2, 1, 2) + ids("ir", "wv") + f32(280.0, 281.0, 282.0, np.inf),
+         r"invalid contents in channel 'wv': non-finite"),
+        (read_cloud_mask, header(2, 2, 1, 1) + ids("mask") + b"\x01\x02",
+         r"invalid contents in channel 'mask': .*0 or 1"),
+        (_volume_levels, volume_header(1, 1, 2, 1) + ids("rain") + f32(0.0, -1e-6),
+         r"invalid contents in level 1: .*non-negative"),
+        (_volume_values, volume_header(2, 1, 2, 1) + ids("rain") + f32(0.0, 1e-6, 1e-6, np.nan),
+         r"invalid contents in level 1: .*finite"),
+        (_volume_values, volume_header(1, 1, 2, 2) + ids("rain", "snow") + f32(0.0, 0.0, 1e-6, -1e-6),
+         r"invalid contents in level 1: .*non-negative"),
+    ], ids=["raster-channel", "mask-byte", "levels-negative", "volume-nan", "volume-negative"])
+    def test_bad_plane_is_named(self, tmp_path, read, data, match):
+        p = tmp_path / "bad"
+        p.write_bytes(data)
+        with pytest.raises(FormatError, match=match):
+            read(p)
+
+
 def _valid_files():
     rng = np.random.default_rng(11)
     bt = rng.normal(260.0, 20.0, size=(2, 3)).astype(np.float32)

@@ -147,6 +147,22 @@ class TestLabelRasters:
         with pytest.raises(ValueError, match="integers"):
             SegmentMap(np.ones((2, 2)))
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (5, 7), (12, 12)], ids=lambda s: "%dx%d" % s)
+    @pytest.mark.parametrize("k", [0, 1, 3, 9], ids=lambda k: f"K{k}")
+    def test_count_and_areas_are_the_constructors_tally(self, rng, shape, k):
+        """count is labels.max() and areas the bincount of labels 0..K,
+        counted once by the constructor; areas is read-only."""
+        size = shape[0] * shape[1]
+        k = min(k, size)
+        flat = np.concatenate([np.arange(1, k + 1), rng.integers(0, k + 1, size - k)])
+        labels = rng.permutation(flat).reshape(shape)
+        seg = SegmentMap(labels)
+        assert seg.count == labels.max() == k
+        assert seg.areas.tolist() == np.bincount(labels.ravel(), minlength=k + 1).tolist()
+        assert not seg.areas.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            seg.areas[0] = 1
+
 
 class TestCloudMask:
     def test_bool_and_binary_int(self):
