@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 # public name -> submodule that defines it
 _EXPORTS = {
     **dict.fromkeys((
-        "CloudMask", "HYDROMETEOR_SPECIES", "HydrometeorVolume", "MarkerMap",
-        "MultiChannelImage", "Raster2D", "SegmentMap", "StructuringElement", "Units",
+        "CloudMask", "HYDROMETEOR_SPECIES", "HydrometeorVolume", "MarkerMap", "MultiChannelImage",
+        "PreconditionError", "Raster2D", "SegmentMap", "StructuringElement", "Units",
     ), "raster"),
     **dict.fromkeys((
         "FormatError", "read_cloud_mask", "read_raster_file", "read_segment_map",

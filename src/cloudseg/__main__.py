@@ -1,5 +1,6 @@
 """Process entry point: ``python -m cloudseg`` and the ``cloudseg`` script."""
 
+import gc
 import os
 import sys
 
@@ -11,7 +12,13 @@ def main() -> None:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from .cli import main as cli_main
 
-    sys.exit(cli_main())
+    try:
+        sys.exit(cli_main())
+    finally:
+        # Whatever the process still holds lives until it exits, so the
+        # interpreter's exit-time collections need not walk the import heap
+        # of numpy and cloudseg again.
+        gc.freeze()
 
 
 if __name__ == "__main__":

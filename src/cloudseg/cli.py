@@ -17,27 +17,33 @@ import math
 import os
 import sys
 
-from .ccs import CcsConfig, ccs_cloud_mask, ccs_segment
-from .formats import (
-    FormatError,
-    read_cloud_mask,
-    read_raster_file,
-    read_volume_file,  # unused: perfbench/spans.py wraps it by this name until ROADMAP item 1
-    read_volume_levels,
-    write_raster_file,
-    write_volume_file,
-)
-from .markers import ConstantFieldError, NoSeedRegionsError, generate_markers, otsu_threshold
-from .morphology import GradientConfig, multispectral_gradient
-from .raster import MultiChannelImage, check_number, parse_channel_ids
-from .synth import PRESETS, generate_scene, make_preset, read_scene_spec
-from .verification import MIXING_RATIO_THRESHOLD, contingency, derive_truth_mask, verify
-from .watershed import EmptyMarkerMapError, classify_regions, merge_small_regions, watershed_from_markers
+from . import _EXPORTS, __getattr__ as _export
+from .formats import (FormatError, read_cloud_mask, read_raster_file, read_volume_levels, write_raster_file,
+                      write_volume_file)
+from .raster import (MIXING_RATIO_THRESHOLD, PRESET_NAMES, MultiChannelImage, PreconditionError, check_number,
+                     parse_channel_ids)
 
 EXIT_OK = 0
 EXIT_DATA = 2
 EXIT_ALGORITHM = 3
 EXIT_USAGE = 64
+
+
+# Every command loads raster and formats; the stage modules load in the
+# command that runs them, so a child pays only for its own command.
+def __getattr__(name):
+    """A stage name (the package's _EXPORTS), bound here from its defining
+    module on first lookup. A name already bound is kept, so a wrapper set
+    on this module (perfbench's span tracer, a test's fake) sees every call
+    the commands make."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(name, _export(name))
+
+
+def _load(*names) -> list:
+    """The objects bound to names here; each command loads its stages so."""
+    return [__getattr__(name) for name in names]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,6 +67,7 @@ def _number(kind, low=-math.inf, high=math.inf):
 
 
 def _level_list(text: str) -> tuple:
+    (CcsConfig,) = _load("CcsConfig")
     try:
         return CcsConfig(threshold_levels=[float(part) for part in text.split(",")]).threshold_levels
     except ValueError as exc:
@@ -73,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic scene and its hydrometeor volume")
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--preset", choices=sorted(PRESETS), help="shipped scene preset")
+    source.add_argument("--preset", choices=sorted(PRESET_NAMES), help="shipped scene preset")
     source.add_argument("--spec", help="scene spec file (key = value lines)")
     p.add_argument("--seed", type=_number(int, 0, 2 ** 64 - 1), default=None, help="override the rng seed")
     p.add_argument("--noise-sigma", type=_number(float, 0), default=None, help="override the noise level (K)")
@@ -170,6 +177,7 @@ def _outputs(*paths):
 
 
 def _cmd_synth(args) -> int:
+    make_preset, read_scene_spec, generate_scene = _load("make_preset", "read_scene_spec", "generate_scene")
     spec = make_preset(args.preset) if args.preset is not None else read_scene_spec(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, rng_seed=args.seed)
@@ -190,6 +198,7 @@ def _read_channels(args) -> MultiChannelImage:
 
 
 def _fused_gradient(selected: MultiChannelImage, args):
+    GradientConfig, multispectral_gradient = _load("GradientConfig", "multispectral_gradient")
     cfg = GradientConfig(n_scales=args.scales, normalize_channels=args.normalize_channels)
     return multispectral_gradient(selected, cfg)
 
@@ -202,6 +211,9 @@ def _cmd_gradient(args) -> int:
 
 
 def _cmd_segment(args) -> int:
+    otsu_threshold, generate_markers, watershed_from_markers, merge_small_regions, classify_regions = _load(
+        "otsu_threshold", "generate_markers", "watershed_from_markers", "merge_small_regions",
+        "classify_regions")
     selected = _read_channels(args)
     # an unknown --bt-channel exits here, before the gradient runs
     bt = selected.raster(args.bt_channel or selected.channel_ids[0])
@@ -226,6 +238,7 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_ccs(args) -> int:
+    CcsConfig, ccs_segment, ccs_cloud_mask = _load("CcsConfig", "ccs_segment", "ccs_cloud_mask")
     image = read_raster_file(args.input)
     bt = image.raster(args.bt_channel or image.channel_ids[0])
     cfg = CcsConfig(threshold_levels=args.levels, min_area=args.min_area)
@@ -237,6 +250,7 @@ def _cmd_ccs(args) -> int:
 
 
 def _cmd_truth_mask(args) -> int:
+    (derive_truth_mask,) = _load("derive_truth_mask")
     _, _, planes = read_volume_levels(args.input)
     mask = derive_truth_mask(planes, threshold=args.threshold)
     with _outputs(args.output) as (path,):
@@ -245,6 +259,7 @@ def _cmd_truth_mask(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    contingency, verify = _load("contingency", "verify")
     prediction = read_cloud_mask(args.prediction)
     truth = read_cloud_mask(args.truth)
     report = verify(contingency(prediction, truth))
@@ -259,7 +274,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConstantFieldError, NoSeedRegionsError, EmptyMarkerMapError) as exc:
+    except PreconditionError as exc:
         print(f"cloudseg: {exc}", file=sys.stderr)
         return EXIT_ALGORITHM
     except (FormatError, OSError, ValueError, KeyError) as exc:

@@ -10,14 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import MarkerMap, Raster2D, check_number
+from .raster import MarkerMap, PreconditionError, Raster2D, check_number
 
 
-class ConstantFieldError(ValueError):
+class ConstantFieldError(PreconditionError):
     """Field has a single distinct value; no threshold can separate it."""
 
 
-class NoSeedRegionsError(ValueError):
+class NoSeedRegionsError(PreconditionError):
     """Every seed component fell below min_seed_area."""
 
 

@@ -9,6 +9,9 @@ clamped or masked silently. SegmentMap is the one label-map type, with
 0 as unlabeled; MarkerMap is an alias of it.
 Grids have no empty axis (``_check_grid``) and channel ids hold no NUL,
 so the codec writes and reads back every shape and id they accept.
+Every CLI command loads this module, so it also holds what the CLI needs
+before a command loads its stages: the preset names, the truth-mask
+threshold and PreconditionError, the base of the exit-3 errors.
 """
 
 import math
@@ -18,6 +21,13 @@ from enum import Enum
 import numpy as np
 
 HYDROMETEOR_SPECIES = ("cloud_water", "cloud_ice", "rain", "snow", "graupel")
+MIXING_RATIO_THRESHOLD = 1e-6  # kg/kg: a column above it is cloud in the truth mask
+PRESET_NAMES = ("harvey_like", "mixed", "warm_stratiform", "wyoming_like")
+
+
+class PreconditionError(ValueError):
+    """An algorithm's input leaves it nothing to do: a constant field, no
+    seed regions, no markers."""
 
 
 class Units(Enum):

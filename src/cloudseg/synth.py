@@ -45,9 +45,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .raster import (HYDROMETEOR_SPECIES, HydrometeorVolume, MultiChannelImage, Raster2D, Units,
-                     check_number, parse_channel_ids)
-from .verification import MIXING_RATIO_THRESHOLD
+from .raster import (HYDROMETEOR_SPECIES, MIXING_RATIO_THRESHOLD, PRESET_NAMES, HydrometeorVolume,
+                     MultiChannelImage, Raster2D, Units, check_number, parse_channel_ids)
 
 CHANNEL_IR = "ir_window"
 CHANNEL_WV = "water_vapor"
@@ -339,12 +338,8 @@ def preset_harvey_like() -> SceneSpec:
     )
 
 
-PRESETS = {
-    "warm_stratiform": preset_warm_stratiform,
-    "wyoming_like": preset_wyoming_like,
-    "harvey_like": preset_harvey_like,
-    "mixed": preset_mixed,
-}
+# one preset_<name> layout per name that the CLI offers
+PRESETS = {name: globals()[f"preset_{name}"] for name in PRESET_NAMES}
 
 
 def make_preset(name: str, noise_sigma: float = 0.5, rng_seed: int = 0) -> SceneSpec:

@@ -14,9 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .raster import CloudMask, HydrometeorVolume, check_number
-
-MIXING_RATIO_THRESHOLD = 1e-6  # kg/kg
+from .raster import MIXING_RATIO_THRESHOLD, CloudMask, HydrometeorVolume, check_number
 
 
 def derive_truth_mask(levels, threshold: float = MIXING_RATIO_THRESHOLD) -> CloudMask:

@@ -7,10 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flood import priority_flood, seed_order
-from .raster import CloudMask, MarkerMap, Raster2D, SegmentMap, check_number
+from .raster import CloudMask, MarkerMap, PreconditionError, Raster2D, SegmentMap, check_number
 
 
-class EmptyMarkerMapError(ValueError):
+class EmptyMarkerMapError(PreconditionError):
     """Watershed needs at least one marker to flood from."""
 
 

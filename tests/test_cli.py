@@ -531,7 +531,7 @@ class TestAtomicOutputs:
 # Commands run only when `module` is the entry point itself. The child runs
 # with -W error, so a command that warns fails here as it would in-process.
 _CHILD = (
-    "import json, os, sys\n"
+    "import gc, json, os, sys\n"
     "import {module}\n"
     "numpy_on_import = 'numpy' in sys.modules\n"
     "from cloudseg.__main__ import main\n"
@@ -543,8 +543,22 @@ _CHILD = (
     "        assert exc.code == 0, (argv, exc.code)\n"
     "print(json.dumps({{'numpy_on_import': numpy_on_import,\n"
     "                  'blas_threads': os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+    "                  'frozen': gc.get_freeze_count() > 0,\n"
+    "                  'cloudseg': sorted(m for m in sys.modules if m.split('.')[0] == 'cloudseg'),\n"
     "                  'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')}}))\n"
 )
+
+
+def _run_child(module, commands, blas_threads=None) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cloudseg.__file__)))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    argv = json.dumps([[str(a) for a in cmd] for cmd in commands])
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", _CHILD.format(module=module), argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 @pytest.mark.parametrize("module, blas_threads, expected", [
@@ -576,16 +590,75 @@ def test_child_process(tmp_path, module, blas_threads, expected):
             ["evaluate", "--prediction", f"{out}-mask.gms1", "--truth", f"{out}-truth.gms1",
              "--output", f"{out}-report.json"],
         ]
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cloudseg.__file__)))
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    if blas_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = blas_threads
-    argv = json.dumps([[str(a) for a in cmd] for cmd in commands])
-    proc = subprocess.run([sys.executable, "-W", "error", "-c", _CHILD.format(module=module), argv],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {**expected, "scipy": []}
+    observed = _run_child(module, commands, blas_threads)
+    assert {key: observed[key] for key in expected} == expected
+    assert observed["scipy"] == []
+    # only the entry point freezes what the process holds, once a command has run
+    assert observed["frozen"] == run_commands
     assert (tmp_path / "out-report.json").exists() == run_commands
+
+
+# The stage modules each command's child loads; every command also loads the
+# package, cloudseg.__main__, cloudseg.cli, and the raster and formats modules.
+# truth-mask and evaluate load no detection stage, and no command but synth
+# loads the scene generator.
+_COMMAND_MODULES = {
+    "synth": {"synth"},
+    "gradient": {"morphology"},
+    "segment": {"morphology", "markers", "flood", "watershed"},
+    "ccs": {"ccs", "flood", "markers", "morphology", "watershed"},  # flood steps with morphology's window
+    "truth-mask": {"verification"},
+    "evaluate": {"verification"},
+}
+
+
+def _command_argv(command, inputs, directory, stem) -> tuple:
+    """(argv, output paths) of one command on the module's wyoming_like inputs."""
+    scene, volume, prediction, truth = inputs
+    outputs = {
+        "synth": ("--scene-output", "--volume-output"),
+        "gradient": ("--output",),
+        "segment": ("--segments-output", "--mask-output", "--stats-output"),
+        "ccs": ("--segments-output", "--mask-output"),
+        "truth-mask": ("--output",),
+        "evaluate": ("--output",),
+    }[command]
+    source = {
+        "synth": ["--preset", "wyoming_like", "--seed", 42],
+        "truth-mask": ["--input", volume],
+        "evaluate": ["--prediction", prediction, "--truth", truth],
+    }.get(command, ["--input", scene])
+    paths = [directory / f"{stem}{i}" for i in range(len(outputs))]
+    return [command, *source, *[a for pair in zip(outputs, paths) for a in pair]], paths
+
+
+@pytest.fixture(scope="module")
+def wyoming_inputs(tmp_path_factory):
+    """A two-channel scene, its volume, a segment mask and the truth mask."""
+    d = tmp_path_factory.mktemp("wyoming")
+    scene, volume = synth(d, preset="wyoming_like")
+    prediction, truth = d / "prediction.gms1", d / "truth.gms1"
+    assert run("segment", "--input", scene, "--segments-output", d / "seg.gms1", "--mask-output", prediction,
+               "--stats-output", d / "stats.csv") == 0
+    assert run("truth-mask", "--input", volume, "--output", truth) == 0
+    return scene, volume, prediction, truth
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_MODULES))
+def test_child_loads_only_its_command(tmp_path, wyoming_inputs, command):
+    """One fresh child per command through the process entry point: it loads
+    only the stage modules its command runs, and once main has exited what
+    the process holds is frozen and the outputs are complete, the same bytes
+    that cli.main writes in-process."""
+    argv, paths = _command_argv(command, wyoming_inputs, tmp_path, "child-")
+    observed = _run_child("cloudseg.__main__", [argv])
+    common = {"cloudseg", "cloudseg.__main__", "cloudseg.cli", "cloudseg.raster", "cloudseg.formats"}
+    assert set(observed["cloudseg"]) == common | {f"cloudseg.{m}" for m in _COMMAND_MODULES[command]}
+    assert observed["frozen"]
+    reference_argv, references = _command_argv(command, wyoming_inputs, tmp_path, "in-process-")
+    assert run(*reference_argv) == 0
+    for path, reference in zip(paths, references):
+        assert path.read_bytes() == reference.read_bytes()
 
 
 # A small launcher runs the child: Linux carries a process's RSS into the

@@ -1,6 +1,10 @@
 """The package's lazy export table."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,3 +58,58 @@ def test_benchmark_span_sites_resolve():
     finally:
         tracer.restore()
     assert [getattr(owner, attr) for owner, attr, *_ in spans._SITES] == originals
+
+
+# A fresh interpreter loads perfbench/spans.py, resolves each stage name the
+# tracer wraps on cloudseg.cli, then runs five commands through cli.main
+# under the tracer and prints what it saw.
+_SITES_CHILD = """
+import importlib, importlib.util, json, os, sys
+spec = importlib.util.spec_from_file_location("perfbench_spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+import cloudseg
+from cloudseg import cli
+sites = {attr: name for owner, attr, name, _ in spans._SITES if owner is cli and not attr.startswith("_cmd_")}
+unbound = [attr for attr in sites if attr not in vars(cli)]
+defined = [attr for attr in sites if sites[attr] == f"{cloudseg._EXPORTS[attr]}.{attr}"
+           and getattr(cli, attr) is getattr(importlib.import_module(f"cloudseg.{cloudseg._EXPORTS[attr]}"), attr)]
+tracer = spans.Tracer()
+tracer.install()
+try:
+    os.chdir(sys.argv[2])
+    for argv in json.loads(sys.argv[3]):
+        assert cli.main(argv) == 0, argv
+finally:
+    tracer.restore()
+print(json.dumps({"sites": sites, "unbound": unbound, "defined": defined,
+                  "called": sorted({span["name"] for span in tracer.spans})}))
+"""
+
+
+def test_benchmark_span_sites_on_cli_in_a_fresh_child(tmp_path):
+    """The stage names perfbench wraps on cloudseg.cli resolve, before any
+    command has run, to their defining modules' objects; and a name rebound
+    on cloudseg.cli before a command runs is the one the command calls, so
+    the tracer sees every call. ROADMAP item 1b retires this contract."""
+    commands = [
+        ["synth", "--preset", "wyoming_like", "--seed", "3", "--scene-output", "s.gms1", "--volume-output", "v.gmsv"],
+        ["segment", "--input", "s.gms1", "--min-area", "30", "--segments-output", "seg.gms1",
+         "--mask-output", "m.gms1", "--stats-output", "c.csv"],
+        ["ccs", "--input", "s.gms1", "--segments-output", "ccs.gms1", "--mask-output", "ccs-m.gms1"],
+        ["truth-mask", "--input", "v.gmsv", "--output", "t.gms1"],
+        ["evaluate", "--prediction", "m.gms1", "--truth", "t.gms1", "--output", "r.json"],
+    ]
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cloudseg.__file__)))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", _SITES_CHILD, str(spans), str(tmp_path),
+                           json.dumps(commands)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    observed = json.loads(proc.stdout)
+    sites = observed["sites"]
+    assert len(sites) == 15
+    assert observed["defined"] == list(sites)
+    # only the codec names every command uses are bound when cloudseg.cli loads
+    assert set(sites) - set(observed["unbound"]) == {"read_raster_file", "read_cloud_mask", "write_raster_file"}
+    # no command reads a whole volume; every other wrapped name recorded spans
+    assert set(observed["called"]) >= {name for name in sites.values()} - {"formats.read_volume_file"}
