@@ -10,7 +10,6 @@ all of its outputs or, when it fails, none of them.
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import json
 import math
@@ -106,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-seed-area", type=_number(int, 1), default=8)
     p.add_argument("--min-area", type=_number(int, 0), default=0, help="post-merge region size, 0 disables")
     p.add_argument("--clear-sky-cutoff", type=_number(float), default=280.0, help="mean-BT cloud cutoff (K)")
-    p.add_argument("--bt-channel", default=None, help="channel classified against, default first selected")
+    p.add_argument("--bt-channel", default=None, help="input channel classified against, default the first selected")
     p.add_argument("--segments-output", required=True, help="GMS1 path for the label map")
     p.add_argument("--mask-output", required=True, help="GMS1 path for the cloud mask")
     p.add_argument("--stats-output", required=True, help="CSV path for per-region stats")
@@ -190,11 +189,12 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _read_channels(args) -> MultiChannelImage:
+def _read_channels(args) -> tuple:
+    """The input's channels, and those that --channels selects (all by default)."""
     image = read_raster_file(args.input)
     if not args.channels:
-        return image
-    return MultiChannelImage(tuple((cid, image.raster(cid)) for cid in args.channels))
+        return image, image
+    return image, MultiChannelImage(tuple((cid, image.raster(cid)) for cid in args.channels))
 
 
 def _fused_gradient(selected: MultiChannelImage, args):
@@ -204,7 +204,7 @@ def _fused_gradient(selected: MultiChannelImage, args):
 
 
 def _cmd_gradient(args) -> int:
-    field = _fused_gradient(_read_channels(args), args)
+    field = _fused_gradient(_read_channels(args)[1], args)
     with _outputs(args.output) as (path,):
         write_raster_file(MultiChannelImage((("gradient", field),)), path)
     return EXIT_OK
@@ -214,9 +214,10 @@ def _cmd_segment(args) -> int:
     otsu_threshold, generate_markers, watershed_from_markers, merge_small_regions, classify_regions = _load(
         "otsu_threshold", "generate_markers", "watershed_from_markers", "merge_small_regions",
         "classify_regions")
-    selected = _read_channels(args)
-    # an unknown --bt-channel exits here, before the gradient runs
-    bt = selected.raster(args.bt_channel or selected.channel_ids[0])
+    image, selected = _read_channels(args)
+    # any input channel, selected or not; an unknown one exits here, before the gradient
+    bt = image.raster(args.bt_channel or selected.channel_ids[0])
+    del image
     field = _fused_gradient(selected, args)
     del selected  # of the channels only bt is needed from here on
     otsu = otsu_threshold(field, bins=args.bins)
@@ -228,12 +229,12 @@ def _cmd_segment(args) -> int:
     with _outputs(args.segments_output, args.mask_output, args.stats_output) as (seg_p, mask_p, stats_p):
         write_raster_file(seg, seg_p)
         write_raster_file(mask, mask_p)
+        # no field ever holds a comma, quote or line break, so none is quoted
         with open(stats_p, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["label", "area", "mean_bt", "min_bt", "mean_gradient", "is_cloud"])
+            fh.write("label,area,mean_bt,min_bt,mean_gradient,is_cloud\n")
             for s in stats:
-                writer.writerow([s.label, s.area, f"{s.mean_bt:.6f}", f"{s.min_bt:.6f}",
-                                 f"{s.mean_gradient:.6f}", "true" if s.is_cloud else "false"])
+                fh.write(f"{s.label},{s.area},{s.mean_bt:.6f},{s.min_bt:.6f},{s.mean_gradient:.6f},"
+                         f"{'true' if s.is_cloud else 'false'}\n")
     return EXIT_OK
 
 

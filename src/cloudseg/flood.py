@@ -9,7 +9,7 @@ Semantics, fixed for reproducibility:
 
 * the heap orders pixels by (priority value, global insertion sequence),
   so equal values resolve first-in first-out, and the sequence is unique,
-  so nothing after it in an entry is ever compared;
+  so the pixel after it in an entry is never compared;
 * when a pixel is popped, each unlabeled claimable 8-neighbour immediately
   takes the popped pixel's label and enters the heap at its own value
   (first claim wins, labels never change afterwards);
@@ -24,14 +24,13 @@ after all seeds and each claim's seq shifts by the same constant.
 Markers usually cover most of the image, so this keeps their interiors
 out of the heap.
 
-The loop's bookkeeping covers the claimable pixels only, so its memory
-and set-up follow the work, not the image: a bytearray of the padded mask
-is 1 where a pixel may still be claimed and is zeroed on claim, a dict
-holds the priorities of the claimable pixels, and each heap entry
-carries its pixel's label. The one-pixel border and every pixel outside
-the mask are 0 bytes, walls never claimed, which makes "is this byte 1?"
-the loop's only claim test. The claims are scattered into a copy of the
-labels at the end.
+The loop's state is one padded int32 label grid and the heap. The grid
+is the claim state, the walls and the output at once: -1 on the
+one-pixel border and on every unlabeled pixel outside the mask, 0 on
+the claimable pixels, the label elsewhere, so a popped pixel's label is
+its grid cell and "is this cell 0?" is the loop's only claim test. A
+heap entry is (value, seq, padded index). At the end the walls are
+cleared to 0 and the grid's interior is the result.
 """
 
 import heapq
@@ -64,37 +63,35 @@ def priority_flood(priority: np.ndarray, labels: np.ndarray, seeds: list,
         claimable: 2D bool array, the unlabeled pixels the flood may claim.
 
     Returns:
-        New int32 label array; unlabeled pixels outside ``claimable`` stay 0.
+        New int32 label array (a view into the flood's padded grid);
+        unlabeled pixels outside ``claimable`` stay 0.
     """
-    w = priority.shape[1]
+    h, w = priority.shape
     pw = w + 2  # padded row width
-    # 1 on the claimable pixels; the one-pixel border and every pixel
-    # outside the mask are 0, walls the loop never claims
-    free = np.pad(claimable, 1)
-    claim = bytearray(free)
-    vals = dict(zip(np.flatnonzero(free).tolist(), priority[claimable].tolist()))
-    del free
+    grid = np.full((h + 2, pw), -1, dtype=np.int32)
+    inner = grid[1:-1, 1:-1]
+    inner[...] = labels
+    inner[inner == 0] = -1  # every unlabeled pixel is a wall...
+    inner[claimable] = 0  # ...unless the flood may claim it
+    cells = memoryview(grid.reshape(-1))
+    values = np.ascontiguousarray(priority, dtype=np.float64).reshape(-1)
+    vals = memoryview(values)
     flat = np.asarray(seeds, dtype=np.intp)
     # pixel i = r * w + c sits at padded index (r + 1) * pw + c + 1 = i + 2 * r + pw + 1
-    heap = list(zip(priority.ravel()[flat].tolist(), range(flat.size),
-                    (flat + 2 * (flat // w) + pw + 1).tolist(), labels.ravel()[flat].tolist()))
-    heapq.heapify(heap)  # seq is unique, so labels are never compared
+    heap = list(zip(values[flat].tolist(), range(flat.size), (flat + 2 * (flat // w) + pw + 1).tolist()))
+    heapq.heapify(heap)
     seq = len(heap)
-    claimed, claimed_labels = [], []
     push = heapq.heappush
     pop = heapq.heappop
     offs = (-pw - 1, -pw, -pw + 1, -1, 1, pw - 1, pw, pw + 1)
     while heap:
-        _, _, i, li = pop(heap)
+        _, _, i = pop(heap)
+        label = cells[i]
         for off in offs:
             j = i + off
-            if claim[j]:
-                claim[j] = 0
-                claimed.append(j)
-                claimed_labels.append(li)
-                push(heap, (vals[j], seq, j, li))
+            if not cells[j]:
+                cells[j] = label
+                push(heap, (vals[j - 2 * (j // pw) + 1 - pw], seq, j))
                 seq += 1
-    out = labels.astype(np.int32)
-    padded = np.array(claimed, dtype=np.intp)
-    np.put(out, padded - 2 * (padded // pw) + 1 - pw, claimed_labels)
-    return out
+    np.maximum(grid, 0, out=grid)  # the walls back to 0
+    return inner

@@ -245,6 +245,30 @@ class TestSegment:
         assert capsys.readouterr().err == f"cloudseg: no channel 'visible' (have {have})\n"
         assert list(out.iterdir()) == []
 
+    def test_bt_channel_need_not_be_selected(self, tmp_path, capsys):
+        """--channels picks the gradient's channels; --bt-channel names any
+        channel of the input, and an unknown one lists the input's channels."""
+        scene, _ = synth(tmp_path, preset="wyoming_like")
+        image = read_raster_file(scene)
+        outs = {}
+        for bt in ("water_vapor", "ir_window"):
+            outs[bt] = [tmp_path / f"{bt}-{name}" for name in ("seg.gms1", "mask.gms1", "stats.csv")]
+            assert run("segment", "--input", scene, "--channels", "water_vapor", "--bt-channel", bt,
+                       "--segments-output", outs[bt][0], "--mask-output", outs[bt][1],
+                       "--stats-output", outs[bt][2]) == 0
+        assert outs["water_vapor"][0].read_bytes() == outs["ir_window"][0].read_bytes()
+        seg = read_segment_map(outs["ir_window"][0])
+        ir = image.raster("ir_window").values
+        rows = [line.split(",") for line in outs["ir_window"][2].read_text().splitlines()[1:]]
+        want = np.bincount(seg.labels.ravel(), ir.ravel())[1:] / seg.areas[1:]
+        np.testing.assert_allclose([float(row[2]) for row in rows], want, rtol=0, atol=5e-7)
+        assert outs["water_vapor"][2].read_bytes() != outs["ir_window"][2].read_bytes()
+        code = run("segment", "--input", scene, "--channels", "water_vapor", "--bt-channel", "visible",
+                   "--segments-output", tmp_path / "s", "--mask-output", tmp_path / "m",
+                   "--stats-output", tmp_path / "c")
+        assert code == 2
+        assert capsys.readouterr().err == f"cloudseg: no channel 'visible' (have {image.channel_ids})\n"
+
     def test_overgrown_min_seed_area_is_algorithmic_error(self, tmp_path):
         scene, _ = synth(tmp_path, preset="wyoming_like")
         code = run("segment", "--input", scene, "--min-seed-area", 10 ** 6,
@@ -545,7 +569,8 @@ _CHILD = (
     "                  'blas_threads': os.environ.get('OPENBLAS_NUM_THREADS'),\n"
     "                  'frozen': gc.get_freeze_count() > 0,\n"
     "                  'cloudseg': sorted(m for m in sys.modules if m.split('.')[0] == 'cloudseg'),\n"
-    "                  'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')}}))\n"
+    "                  'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+    "                  'csv': 'csv' in sys.modules}}))\n"
 )
 
 
@@ -593,6 +618,8 @@ def test_child_process(tmp_path, module, blas_threads, expected):
     observed = _run_child(module, commands, blas_threads)
     assert {key: observed[key] for key in expected} == expected
     assert observed["scipy"] == []
+    # the stats CSV is written without the csv module
+    assert observed["csv"] is False
     # only the entry point freezes what the process holds, once a command has run
     assert observed["frozen"] == run_commands
     assert (tmp_path / "out-report.json").exists() == run_commands

@@ -85,16 +85,8 @@ def test_frontier_flood_matches_all_seeds_oracle():
         np.testing.assert_array_equal(got, want, err_msg=f"{priority!r}\n{labels!r}\nlimit={limit}")
 
 
-def test_flood_memory_follows_the_claimable_pixels():
-    """A 2048 x 2048 grid with a 10-column claimable strip (20,480 pixels):
-    the flood holds the int32 result, a byte per padded pixel and
-    entries for the strip only, about 23 MiB at peak, where converting
-    the whole image to Python lists reached 176 MiB."""
-    n = 2048
-    priority = np.random.default_rng(5).integers(0, 50, size=(n, n)).astype(float)
-    labels = np.zeros((n, n), dtype=np.int32)
-    labels[:, :1000] = 1
-    labels[:, 1010:] = 2
+def flood_peak(priority, labels):
+    """The flood's labels from all frontier seeds, and its tracemalloc peak in bytes."""
     mask = labels == 0
     seeds = seed_order(labels, mask)
     tracemalloc.start()
@@ -103,5 +95,54 @@ def test_flood_memory_follows_the_claimable_pixels():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return got, peak
+
+
+def test_flood_memory_follows_the_claimable_pixels():
+    """A 2048 x 2048 grid with a 10-column claimable strip (20,480 pixels):
+    the flood holds its padded int32 label grid (16 MiB), one image-sized
+    bool mask while the walls are set and heap entries for the strip
+    only, about 20 MiB at peak, where converting the whole image to
+    Python lists reached 176 MiB."""
+    n = 2048
+    priority = np.random.default_rng(5).integers(0, 50, size=(n, n)).astype(float)
+    labels = np.zeros((n, n), dtype=np.int32)
+    labels[:, :1000] = 1
+    labels[:, 1010:] = 2
+    mask = labels == 0
+    got, peak = flood_peak(priority, labels)
     assert (got[mask] > 0).all() and (got[~mask] == labels[~mask]).all()
+    assert peak <= 24 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_flood_memory_on_pure_noise():
+    """A 512 x 512 noise field grown from two seeds claims every pixel, so
+    the heap is the flood's largest structure. Entries of (value, seq,
+    pixel) and the label grid peak near 22 MiB; a claim bytearray, a
+    priority dict and a label in every entry reached 50 MiB."""
+    n = 512
+    priority = np.random.default_rng(3).random((n, n))
+    labels = np.zeros((n, n), dtype=np.int32)
+    labels[0, 0], labels[-1, -1] = 1, 2
+    got, peak = flood_peak(priority, labels)
+    assert (got > 0).all() and got[0, 0] == 1 and got[-1, -1] == 2
     assert peak <= 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_flood_takes_read_only_inputs_and_int64_labels():
+    """Raster2D and SegmentMap hold read-only arrays; the flood reads them
+    (int64 labels too) and changes neither."""
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        priority, labels, limit = random_case(rng)
+        mask = claimable(priority, labels, limit)
+        want = oracles.all_seeds_flood(priority, labels, limit)
+        labels = labels.astype(np.int64)
+        before = priority.copy(), labels.copy()
+        priority.setflags(write=False)
+        labels.setflags(write=False)
+        got = priority_flood(priority, labels, seed_order(labels, mask), mask)
+        assert got.dtype == np.int32
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(priority, before[0])
+        np.testing.assert_array_equal(labels, before[1])
