@@ -56,7 +56,7 @@ def ccs_segment(bt: Raster2D, cfg: CcsConfig = CcsConfig()) -> SegmentMap:
     for level in cfg.threshold_levels[1:]:
         eligible = (labels == 0) & (values <= level)
         seeds = seed_order(labels, eligible)
-        if seeds:
+        if len(seeds):
             labels = priority_flood(values, labels, seeds, eligible)
     return merge_small_regions(SegmentMap(labels), min_area=cfg.min_area)
 

@@ -40,26 +40,27 @@ import numpy as np
 from .morphology import _window_max  # bound at import: perfbench counts morphology's own calls
 
 
-def seed_order(labels: np.ndarray, claimable: np.ndarray) -> list:
-    """Flat indices of the frontier seeds, ascending label, row-major within.
+def seed_order(labels: np.ndarray, claimable: np.ndarray) -> np.ndarray:
+    """Frontier seeds as an intp array of flat indices in enqueue order.
 
     A frontier seed is a labeled pixel with at least one 8-neighbour
-    set in ``claimable`` (the pixels the flood may still claim).
+    set in ``claimable`` (the pixels the flood may still claim); seeds
+    come in ascending label order, row-major within a label.
     """
     frontier = (labels > 0) & _window_max(claimable, 1)  # 3x3 dilation of the mask
     flat = labels.ravel()
     idx = np.flatnonzero(frontier)
-    return idx[np.argsort(flat[idx], kind="stable")].tolist()
+    return idx[np.argsort(flat[idx], kind="stable")]
 
 
-def priority_flood(priority: np.ndarray, labels: np.ndarray, seeds: list,
+def priority_flood(priority: np.ndarray, labels: np.ndarray, seeds: np.ndarray,
                    claimable: np.ndarray) -> np.ndarray:
     """Grow labels outward from the seed pixels in priority order.
 
     Args:
         priority: 2D float array the heap is keyed on.
         labels: 2D int array, 0 = unclaimed; not modified.
-        seeds: flat indices of already-labeled pixels, in enqueue order.
+        seeds: intp array of already-labeled flat indices, in enqueue order.
         claimable: 2D bool array, the unlabeled pixels the flood may claim.
 
     Returns:
@@ -76,9 +77,8 @@ def priority_flood(priority: np.ndarray, labels: np.ndarray, seeds: list,
     cells = memoryview(grid.reshape(-1))
     values = np.ascontiguousarray(priority, dtype=np.float64).reshape(-1)
     vals = memoryview(values)
-    flat = np.asarray(seeds, dtype=np.intp)
     # pixel i = r * w + c sits at padded index (r + 1) * pw + c + 1 = i + 2 * r + pw + 1
-    heap = list(zip(values[flat].tolist(), range(flat.size), (flat + 2 * (flat // w) + pw + 1).tolist()))
+    heap = list(zip(values[seeds].tolist(), range(seeds.size), (seeds + 2 * (seeds // w) + pw + 1).tolist()))
     heapq.heapify(heap)
     seq = len(heap)
     push = heapq.heappush

@@ -33,15 +33,10 @@ def derive_truth_mask(levels, threshold: float = MIXING_RATIO_THRESHOLD) -> Clou
         levels = levels.values.transpose(1, 0, 2, 3)
     column_max = None
     for plane in levels:
-        # species added one by one in file order, as values.sum(axis=0) does
-        summed = plane[0].astype(np.float64)
-        for species in plane[1:]:
-            summed += species
         if column_max is None:
-            column_max = summed
+            column_max = plane.sum(axis=0, dtype=np.float64)
         else:
-            np.maximum(column_max, summed, out=column_max)
-        del summed  # else the next level's sum is allocated beside it
+            np.maximum(column_max, plane.sum(axis=0, dtype=np.float64), out=column_max)
     if column_max is None:
         raise ValueError("a truth mask needs at least one level")
     return CloudMask(column_max > threshold)
@@ -69,13 +64,14 @@ def contingency(pred: CloudMask, truth: CloudMask) -> ContingencyTable:
     """Tally TP/FN/FP/TN between a predicted and a reference mask."""
     if pred.shape != truth.shape:
         raise ValueError(f"dimension mismatch: prediction {pred.shape} vs truth {truth.shape}")
-    p = pred.flags
-    t = truth.flags
+    hits = int(np.count_nonzero(pred.flags & truth.flags))
+    predicted = int(np.count_nonzero(pred.flags))
+    observed = int(np.count_nonzero(truth.flags))
     return ContingencyTable(
-        hits=int(np.sum(p & t)),
-        misses=int(np.sum(~p & t)),
-        false_alarms=int(np.sum(p & ~t)),
-        correct_negatives=int(np.sum(~p & ~t)),
+        hits=hits,
+        misses=observed - hits,
+        false_alarms=predicted - hits,
+        correct_negatives=pred.flags.size - predicted - observed + hits,
     )
 
 

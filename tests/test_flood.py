@@ -21,12 +21,12 @@ class TestSeedOrder:
             [1, 1, 1, 0],
             [2, 2, 0, 0],
         ])
-        assert seed_order(labels, labels == 0) == [2, 6, 9, 10, 13]
+        assert seed_order(labels, labels == 0).tolist() == [2, 6, 9, 10, 13]
 
     def test_neighbour_above_limit_is_not_claimable(self):
         priority = np.array([[0.0, 9.0, 0.0, 1.0]])
         labels = np.array([[1, 0, 2, 0]])
-        assert seed_order(labels, claimable(priority, labels, 5.0)) == [2]
+        assert seed_order(labels, claimable(priority, labels, 5.0)).tolist() == [2]
 
     def test_ascending_label_then_row_major(self):
         labels = np.array([
@@ -34,11 +34,31 @@ class TestSeedOrder:
             [0, 0, 0],
             [1, 1, 1],
         ])
-        assert seed_order(labels, labels == 0) == [6, 7, 8, 0, 1]
+        assert seed_order(labels, labels == 0).tolist() == [6, 7, 8, 0, 1]
 
     def test_fully_labeled_map_has_no_seeds(self):
         labels = np.array([[1, 1], [2, 2]])
-        assert seed_order(labels, labels == 0) == []
+        assert seed_order(labels, labels == 0).tolist() == []
+
+
+def test_seed_order_holds_one_index_array():
+    """A 1024 x 1024 checkerboard makes every labeled pixel a frontier seed
+    (524,288 of them). The seeds come back as one intp array, 4 MiB, and
+    the call peaks near 13 MiB; a Python list of them held 20 MiB and
+    peaked at 29 MiB."""
+    n = 1024
+    labels = (np.indices((n, n)).sum(axis=0) % 2 == 0).astype(np.int32)
+    mask = labels == 0
+    tracemalloc.start()
+    try:
+        seeds = seed_order(labels, mask)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(seeds, np.ndarray) and seeds.dtype == np.intp
+    np.testing.assert_array_equal(seeds, np.flatnonzero(labels))
+    assert held <= 8 * 2 ** 20, f"held {held / 2 ** 20:.1f} MiB"
+    assert peak <= 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 def random_case(rng):
@@ -72,7 +92,7 @@ def test_seed_order_matches_naive_scan():
     for _ in range(3000):
         priority, labels, limit = random_case(rng)
         mask = claimable(priority, labels, limit)
-        assert seed_order(labels, mask) == naive_seed_order(labels, mask)
+        assert seed_order(labels, mask).tolist() == naive_seed_order(labels, mask)
 
 
 def test_frontier_flood_matches_all_seeds_oracle():
