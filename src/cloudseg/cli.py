@@ -16,7 +16,7 @@ import math
 import os
 import sys
 
-from . import _EXPORTS, __getattr__ as _export
+from . import __getattr__  # a stage name looked up here resolves through the package's exports
 from .formats import (FormatError, read_cloud_mask, read_raster_file, read_volume_levels, write_raster_file,
                       write_volume_file)
 from .raster import (MIXING_RATIO_THRESHOLD, PRESET_NAMES, MultiChannelImage, PreconditionError, check_number,
@@ -27,22 +27,11 @@ EXIT_DATA = 2
 EXIT_ALGORITHM = 3
 EXIT_USAGE = 64
 
-
-# Every command loads raster and formats; the stage modules load in the
-# command that runs them, so a child pays only for its own command.
-def __getattr__(name):
-    """A stage name (the package's _EXPORTS), bound here from its defining
-    module on first lookup. A name already bound is kept, so a wrapper set
-    on this module (perfbench's span tracer, a test's fake) sees every call
-    the commands make."""
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return globals().setdefault(name, _export(name))
-
-
-def _load(*names) -> list:
-    """The objects bound to names here; each command loads its stages so."""
-    return [__getattr__(name) for name in names]
+# Every command loads raster and formats; each command calls its stages as
+# attributes of this module, _cli.<name>, so a stage module loads only in
+# the command that runs it, and a name rebound here (perfbench's span
+# tracer, a test's fake) is the one the command calls.
+_cli = sys.modules[__name__]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,9 +55,8 @@ def _number(kind, low=-math.inf, high=math.inf):
 
 
 def _level_list(text: str) -> tuple:
-    (CcsConfig,) = _load("CcsConfig")
     try:
-        return CcsConfig(threshold_levels=[float(part) for part in text.split(",")]).threshold_levels
+        return _cli.CcsConfig(threshold_levels=[float(part) for part in text.split(",")]).threshold_levels
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad level list {text!r}: {exc}")
 
@@ -176,13 +164,12 @@ def _outputs(*paths):
 
 
 def _cmd_synth(args) -> int:
-    make_preset, read_scene_spec, generate_scene = _load("make_preset", "read_scene_spec", "generate_scene")
-    spec = make_preset(args.preset) if args.preset is not None else read_scene_spec(args.spec)
+    spec = _cli.make_preset(args.preset) if args.preset is not None else _cli.read_scene_spec(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, rng_seed=args.seed)
     if args.noise_sigma is not None:
         spec = dataclasses.replace(spec, noise_sigma=args.noise_sigma)
-    image, volume = generate_scene(spec)
+    image, volume = _cli.generate_scene(spec)
     with _outputs(args.scene_output, args.volume_output) as (scene_path, volume_path):
         write_raster_file(image, scene_path)
         write_volume_file(volume, volume_path)
@@ -198,9 +185,8 @@ def _read_channels(args) -> tuple:
 
 
 def _fused_gradient(selected: MultiChannelImage, args):
-    GradientConfig, multispectral_gradient = _load("GradientConfig", "multispectral_gradient")
-    cfg = GradientConfig(n_scales=args.scales, normalize_channels=args.normalize_channels)
-    return multispectral_gradient(selected, cfg)
+    cfg = _cli.GradientConfig(n_scales=args.scales, normalize_channels=args.normalize_channels)
+    return _cli.multispectral_gradient(selected, cfg)
 
 
 def _cmd_gradient(args) -> int:
@@ -211,21 +197,18 @@ def _cmd_gradient(args) -> int:
 
 
 def _cmd_segment(args) -> int:
-    otsu_threshold, generate_markers, watershed_from_markers, merge_small_regions, classify_regions = _load(
-        "otsu_threshold", "generate_markers", "watershed_from_markers", "merge_small_regions",
-        "classify_regions")
     image, selected = _read_channels(args)
     # any input channel, selected or not; an unknown one exits here, before the gradient
     bt = image.raster(args.bt_channel or selected.channel_ids[0])
     del image
     field = _fused_gradient(selected, args)
     del selected  # of the channels only bt is needed from here on
-    otsu = otsu_threshold(field, bins=args.bins)
+    otsu = _cli.otsu_threshold(field, bins=args.bins)
     # the marker map is freed as soon as the flood returns
-    seg = watershed_from_markers(field, generate_markers(field, otsu, min_seed_area=args.min_seed_area))
+    seg = _cli.watershed_from_markers(field, _cli.generate_markers(field, otsu, min_seed_area=args.min_seed_area))
     if args.min_area > 0:
-        seg = merge_small_regions(seg, min_area=args.min_area)
-    mask, stats = classify_regions(seg, bt, clear_sky_cutoff=args.clear_sky_cutoff, gradient=field)
+        seg = _cli.merge_small_regions(seg, min_area=args.min_area)
+    mask, stats = _cli.classify_regions(seg, bt, clear_sky_cutoff=args.clear_sky_cutoff, gradient=field)
     with _outputs(args.segments_output, args.mask_output, args.stats_output) as (seg_p, mask_p, stats_p):
         write_raster_file(seg, seg_p)
         write_raster_file(mask, mask_p)
@@ -239,31 +222,28 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_ccs(args) -> int:
-    CcsConfig, ccs_segment, ccs_cloud_mask = _load("CcsConfig", "ccs_segment", "ccs_cloud_mask")
     image = read_raster_file(args.input)
     bt = image.raster(args.bt_channel or image.channel_ids[0])
-    cfg = CcsConfig(threshold_levels=args.levels, min_area=args.min_area)
-    seg = ccs_segment(bt, cfg)
+    cfg = _cli.CcsConfig(threshold_levels=args.levels, min_area=args.min_area)
+    seg = _cli.ccs_segment(bt, cfg)
     with _outputs(args.segments_output, args.mask_output) as (seg_path, mask_path):
         write_raster_file(seg, seg_path)
-        write_raster_file(ccs_cloud_mask(seg), mask_path)
+        write_raster_file(_cli.ccs_cloud_mask(seg), mask_path)
     return EXIT_OK
 
 
 def _cmd_truth_mask(args) -> int:
-    (derive_truth_mask,) = _load("derive_truth_mask")
     _, _, planes = read_volume_levels(args.input)
-    mask = derive_truth_mask(planes, threshold=args.threshold)
+    mask = _cli.derive_truth_mask(planes, threshold=args.threshold)
     with _outputs(args.output) as (path,):
         write_raster_file(mask, path)
     return EXIT_OK
 
 
 def _cmd_evaluate(args) -> int:
-    contingency, verify = _load("contingency", "verify")
     prediction = read_cloud_mask(args.prediction)
     truth = read_cloud_mask(args.truth)
-    report = verify(contingency(prediction, truth))
+    report = _cli.verify(_cli.contingency(prediction, truth))
     with _outputs(args.output) as (path,), open(path, "w") as fh:
         json.dump(dataclasses.asdict(report), fh, indent=2)
         fh.write("\n")

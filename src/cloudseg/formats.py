@@ -47,6 +47,7 @@ import struct
 import numpy as np
 
 from .raster import (
+    MAX_ELEMENTS,
     CloudMask,
     HydrometeorVolume,
     MultiChannelImage,
@@ -67,9 +68,6 @@ DTYPE_U32 = 3
 _NP_DTYPES = {DTYPE_F32: "<f4", DTYPE_U8: "u1", DTYPE_U32: "<u4"}
 
 _ID_BYTES = 16
-# Hard cap on total payload elements; headers promising more are rejected
-# as corrupt before any allocation is attempted.
-_MAX_ELEMENTS = 2 ** 31
 
 
 class FormatError(ValueError):
@@ -173,7 +171,7 @@ def _check_dims(*dims):
         if d == 0:
             raise FormatError(f"zero dimension in header: {dims}")
         total *= d
-    if total > _MAX_ELEMENTS:
+    if total > MAX_ELEMENTS:  # rejected as corrupt before any allocation
         raise FormatError(f"dimension overflow: {dims} implies {total} elements")
     return total
 

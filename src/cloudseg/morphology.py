@@ -4,8 +4,11 @@ Windows are clipped to the image domain, which for a flat structuring
 element is the same thing as replicate padding. Flat squares compose by
 Minkowski sum, so a clipped (2r+1)-square max (or min) is r clipped 3x3
 steps, and each step is a row pass then a column pass of np.maximum (or
-np.minimum) over shifted slices. The multi-scale gradient takes scale i's
-dilation and erosion one step from scale i-1's instead of starting over.
+np.minimum) over shifted slices. A clipped window of radius
+max(shape) - 1 already covers the whole array, so a wider one takes only
+that many steps: more would change nothing. The multi-scale gradient takes
+scale i's dilation and erosion one step from scale i-1's instead of
+starting over.
 Max and min only select values, so every step is exact; the test suite
 holds the results equal to a naive clipped-window scan.
 
@@ -20,9 +23,8 @@ block edge that is not the image's own edge lies >= 2n - 1 rows from
 every kept row and never reaches it, while at the image's edge the block
 clips exactly where the image does. Scale i's gradient is formed only on
 the block rows within i - 1 of the strip, the rows its i - 1 erosion steps
-read, and is eroded by min(i - 1, max(slice shape) - 1) steps: a clipped
-window that wide already covers the whole slice, so further steps change
-nothing, and the cost stays linear in the number of scales.
+read, and is eroded by i - 1 steps, at most max(slice shape) - 1 of them
+as for any window, so the cost stays linear in the number of scales.
 
 Every gradient is a dimensionless Raster2D, non-negative by construction:
 dilation minus erosion is >= 0, and so is an erosion of it.
@@ -67,13 +69,13 @@ def _pass(values: np.ndarray, op, axis: int) -> np.ndarray:
 
 
 def _window_max(values: np.ndarray, radius: int) -> np.ndarray:
-    for _ in range(radius):
+    for _ in range(min(radius, max(values.shape) - 1)):
         values = _pass(_pass(values, np.maximum, 1), np.maximum, 0)
     return values
 
 
 def _window_min(values: np.ndarray, radius: int) -> np.ndarray:
-    for _ in range(radius):
+    for _ in range(min(radius, max(values.shape) - 1)):
         values = _pass(_pass(values, np.minimum, 1), np.minimum, 0)
     return values
 
@@ -98,8 +100,7 @@ def _strip_sum(block: np.ndarray, top: int, bottom: int, n_scales: int) -> np.nd
         eroded = _window_min(eroded, 1)
         lo = max(top - (i - 1), 0)  # the rows i - 1 steps from the strip reach
         grad = dilated[lo:bottom + i - 1] - eroded[lo:bottom + i - 1]
-        cover = max(grad.shape) - 1  # a clipped window this wide covers grad
-        acc += _window_min(grad, min(i - 1, cover))[top - lo:bottom - lo]
+        acc += _window_min(grad, i - 1)[top - lo:bottom - lo]
     return acc
 
 

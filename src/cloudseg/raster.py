@@ -23,6 +23,10 @@ import numpy as np
 HYDROMETEOR_SPECIES = ("cloud_water", "cloud_ice", "rain", "snow", "graupel")
 MIXING_RATIO_THRESHOLD = 1e-6  # kg/kg: a column above it is cloud in the truth mask
 PRESET_NAMES = ("harvey_like", "mixed", "warm_stratiform", "wyoming_like")
+# The most payload elements a GMS1 or GMSV file may hold: the codec reads
+# no header that promises more, and synth renders no scene whose volume
+# would hold more.
+MAX_ELEMENTS = 2 ** 31
 
 
 class PreconditionError(ValueError):

@@ -45,8 +45,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .raster import (HYDROMETEOR_SPECIES, MIXING_RATIO_THRESHOLD, PRESET_NAMES, HydrometeorVolume,
-                     MultiChannelImage, Raster2D, Units, check_number, parse_channel_ids)
+from .raster import (HYDROMETEOR_SPECIES, MAX_ELEMENTS, MIXING_RATIO_THRESHOLD, PRESET_NAMES,
+                     HydrometeorVolume, MultiChannelImage, Raster2D, Units, check_number, parse_channel_ids)
 
 CHANNEL_IR = "ir_window"
 CHANNEL_WV = "water_vapor"
@@ -113,6 +113,10 @@ class SceneSpec:
         for name, *rule in (("width", int, 1), ("height", int, 1), ("background_bt", float),
                             ("noise_sigma", float, 0), ("rng_seed", int, 0, 2 ** 64 - 1)):
             object.__setattr__(self, name, check_number(getattr(self, name), name, *rule))
+        volume = len(HYDROMETEOR_SPECIES) * len(_VERTICAL_WEIGHTS) * self.width * self.height
+        if volume > MAX_ELEMENTS:  # the codec would not read the volume back
+            raise ValueError(f"{self.width}x{self.height} scene: its volume of {volume} elements "
+                             f"exceeds the {MAX_ELEMENTS}-element cap")
         object.__setattr__(self, "clouds", tuple(self.clouds))
         object.__setattr__(self, "channels", tuple(self.channels))
         if not self.channels:

@@ -123,6 +123,19 @@ class TestSynth:
         assert list(out.iterdir()) == []
         assert named in capsys.readouterr().err
 
+    def test_scene_past_the_codec_cap_exits_2_before_rendering(self, tmp_path, capsys):
+        # 5 levels x 5 species x 16384**2 is past the 2**31 elements the codec
+        # reads back; the spec is refused, so no plane is ever allocated
+        spec_path = tmp_path / "scene.spec"
+        spec_path.write_text("width = 16384\nheight = 16384\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run("synth", "--spec", spec_path, "--scene-output", out / "s.gms1",
+                   "--volume-output", out / "v.gmsv") == 2
+        assert list(out.iterdir()) == []
+        assert capsys.readouterr().err == (
+            "cloudseg: 16384x16384 scene: its volume of 6710886400 elements exceeds the 2147483648-element cap\n")
+
     def test_seed_override_changes_noise(self, tmp_path):
         a, _ = synth(tmp_path, seed=1, stem="a")
         b, _ = synth(tmp_path, seed=2, stem="b")
@@ -623,6 +636,17 @@ def test_child_process(tmp_path, module, blas_threads, expected):
     # only the entry point freezes what the process holds, once a command has run
     assert observed["frozen"] == run_commands
     assert (tmp_path / "out-report.json").exists() == run_commands
+
+
+def test_stage_names_resolve_on_the_cli_module():
+    """The commands call their stages as attributes of cloudseg.cli: each name
+    resolves through the package's exports to its defining module's object,
+    and a name the package does not export raises the package's error."""
+    from cloudseg import cli
+    for name in ("make_preset", "GradientConfig", "generate_markers", "CcsConfig", "derive_truth_mask", "verify"):
+        assert getattr(cli, name) is getattr(cloudseg, name)
+    with pytest.raises(AttributeError, match="^module 'cloudseg' has no attribute 'nope'$"):
+        cli.nope
 
 
 # The stage modules each command's child loads; every command also loads the

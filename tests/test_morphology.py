@@ -80,6 +80,28 @@ class TestDilateErode:
             np.testing.assert_array_equal(dilate(Raster2D(f), se).values, oracles.window_max(f, radius))
             np.testing.assert_array_equal(erode(Raster2D(f), se).values, oracles.window_min(f, radius))
 
+    def test_huge_radius_takes_only_the_covering_steps(self, rng, monkeypatch):
+        """A clipped window of radius max(shape) - 1 covers the raster, so a
+        radius of 10**9 gives its values in its max(shape) - 1 steps."""
+        passes = 0
+        step = morphology._pass
+
+        def counted(values, op, axis):
+            nonlocal passes
+            passes += 1
+            assert passes <= budget, "more 3x3 steps than the covering window takes"
+            return step(values, op, axis)
+
+        monkeypatch.setattr(morphology, "_pass", counted)
+        se = StructuringElement(10 ** 9)
+        for h, w in ((1, 1), (1, 6), (3, 4), (7, 2), (9, 9)):
+            cover = max(h, w) - 1
+            for f in (rng.integers(0, 4, size=(h, w)).astype(float), rng.normal(size=(h, w))):
+                passes, budget = 0, 2 * cover  # a row pass and a column pass per step
+                np.testing.assert_array_equal(dilate(Raster2D(f), se).values, oracles.window_max(f, cover))
+                passes = 0
+                np.testing.assert_array_equal(erode(Raster2D(f), se).values, oracles.window_min(f, cover))
+
 
 class TestMorphologicalGradient:
     """The single-scale gradient, dilation minus erosion over the 3x3 square."""

@@ -45,7 +45,7 @@ def test_submodules_import_from_the_package():
 def test_benchmark_span_sites_resolve():
     """perfbench/spans.py wraps 28 names of the package, among them the
     codec readers and writer that cloudseg.cli imports; each must still
-    resolve. ROADMAP item 1b replaces this with a trace the package writes."""
+    resolve. ROADMAP item 2 replaces this with a trace the package writes."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -91,7 +91,7 @@ def test_benchmark_span_sites_on_cli_in_a_fresh_child(tmp_path):
     """The stage names perfbench wraps on cloudseg.cli resolve, before any
     command has run, to their defining modules' objects; and a name rebound
     on cloudseg.cli before a command runs is the one the command calls, so
-    the tracer sees every call. ROADMAP item 1b retires this contract."""
+    the tracer sees every call. ROADMAP item 2 retires this contract."""
     commands = [
         ["synth", "--preset", "wyoming_like", "--seed", "3", "--scene-output", "s.gms1", "--volume-output", "v.gmsv"],
         ["segment", "--input", "s.gms1", "--min-area", "30", "--segments-output", "seg.gms1",

@@ -10,7 +10,7 @@ import oracles
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cloudseg import synth
+from cloudseg import formats, synth
 from cloudseg import (
     CloudSpec,
     PRESETS,
@@ -25,6 +25,7 @@ from cloudseg import (
     two_cloud_gap_scene,
     write_scene_spec,
 )
+from cloudseg.raster import MAX_ELEMENTS
 from cloudseg.synth import _TAIL_CUTOFF_K, TRUTH_DEPRESSION_K, WV_SMOOTH_SIGMA, _gaussian_blur
 from cloudseg.verification import MIXING_RATIO_THRESHOLD
 
@@ -277,6 +278,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="noise"):
             SceneSpec(width=8, height=8, noise_sigma=noise)
 
+    # The volume is 5 levels x 5 species; these specs are built, never rendered.
+    @pytest.mark.parametrize("width, height", [
+        (16384, 16384), (9269, 9269), (MAX_ELEMENTS // 25 + 1, 1), (1, MAX_ELEMENTS // 25 + 1),
+    ])
+    def test_volume_past_the_codec_cap(self, width, height):
+        with pytest.raises(ValueError, match=f"{width}x{height} scene: .* exceeds the {MAX_ELEMENTS}-element cap"):
+            SceneSpec(width=width, height=height)
+
+    @pytest.mark.parametrize("width, height", [(9268, 9268), (MAX_ELEMENTS // 25, 1), (1, MAX_ELEMENTS // 25)])
+    def test_volume_at_the_codec_cap(self, width, height):
+        spec = SceneSpec(width=width, height=height)
+        # the codec reads back a volume header of these dimensions: species, levels, rows, columns
+        assert formats._check_dims(5, 5, spec.height, spec.width) == 25 * width * height
+
 
 class TestPresets:
     def test_registry(self):
@@ -417,7 +432,9 @@ class TestSpecFiles:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_write_then_read_is_identity(self, tmp_path, data):
-        width, height = data.draw(st.integers(1, 2 ** 40)), data.draw(st.integers(1, 2 ** 40))
+        # sizes whose 5-level, 5-species volume the codec reads back
+        width = data.draw(st.integers(1, MAX_ELEMENTS // 25))
+        height = data.draw(st.integers(1, MAX_ELEMENTS // 25 // width))
         background_bt = data.draw(st.floats(-1e306, 1e307))
         cloud = st.builds(
             CloudSpec,
