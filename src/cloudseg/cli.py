@@ -233,8 +233,8 @@ def _cmd_ccs(args) -> int:
 
 
 def _cmd_truth_mask(args) -> int:
-    _, _, planes = read_volume_levels(args.input)
-    mask = _cli.derive_truth_mask(planes, threshold=args.threshold)
+    _, _, levels = read_volume_levels(args.input)
+    mask = _cli.derive_truth_mask(levels, threshold=args.threshold)
     with _outputs(args.output) as (path,):
         write_raster_file(mask, path)
     return EXIT_OK

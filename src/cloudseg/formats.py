@@ -34,13 +34,16 @@ GMSV layout replaces the channel axis with species and adds a level axis::
 Multi-channel imagery encodes as f32 (dtype 1), cloud masks as u8
 (dtype 2, one byte 0/1 per pixel), segment maps as u32 (dtype 3).
 
-Both formats are one frame: a header with its ids, then planes, each a
-GMS1 channel or a GMSV level. Every reader takes the planes one at a time
-into one reused buffer after the header, id and file-size checks, and
-every write streams them, so neither direction holds the whole payload.
+Both formats are one frame: a header with its ids, then (height, width)
+planes, each a GMS1 channel or one species of a GMSV level. Every reader
+takes the planes one at a time into one reused plane buffer after the
+header, id and file-size checks, and every write streams them (a GMSV
+level at a time), so neither direction holds the whole payload.
 """
 
 import functools
+import itertools
+import math
 import os
 import struct
 
@@ -56,6 +59,7 @@ from .raster import (
     Units,
     check_mixing_ratios,
     check_species,
+    finite_bounds,
 )
 
 MAGIC_RASTER = b"GMS1"
@@ -221,30 +225,32 @@ def _reader(read):
 
 def _planes(path, magic: bytes, dtype_code: int, what: str):
     """Generator behind every reader: first (header dims, ids), once every
-    header, id and file-size check has passed, then each plane in file
-    order, read into one reused read-only buffer and valid until the next:
-    a GMS1 channel (height, width) or a GMSV level (species, height, width).
+    header, id and file-size check has passed, then each (height, width)
+    plane in file order, read into one reused read-only buffer and valid
+    until the next: a GMS1 channel, or one species of a GMSV level (levels
+    outermost, species in id order within each).
     Every payload value is judged here, a plane at a time: f32 channels finite,
     mask bytes 0 or 1, mixing ratios finite and non-negative."""
     with open(path, "rb") as fh:
         dims, ids = _header(fh, magic, dtype_code, what)
         yield dims, ids
-        width, height, count, *nspecies = dims
-        buf = np.empty((*nspecies, height, width), dtype=_NP_DTYPES[dtype_code])
+        width, height, *counts = dims  # GMS1: channels; GMSV: levels, species
+        buf = np.empty((height, width), dtype=_NP_DTYPES[dtype_code])
         plane = buf.view()
         plane.setflags(write=False)
-        for k in range(count):
+        volume = magic == MAGIC_VOLUME
+        for k in range(math.prod(counts)):
             if fh.readinto(buf) != buf.nbytes:  # the file shrank after the size check
                 raise FormatError(f"truncated payload in plane {k}")
             try:
-                if nspecies:
+                if volume:
                     check_mixing_ratios(plane)
-                elif dtype_code == DTYPE_F32 and not np.all(np.isfinite(plane)):  # before a float64 cast warns
+                elif dtype_code == DTYPE_F32 and finite_bounds(plane) is None:  # before a float64 cast
                     raise ValueError("non-finite payload values")
                 elif dtype_code == DTYPE_U8 and plane.max() > 1:
                     raise ValueError("payload bytes must be 0 or 1")
             except ValueError as exc:
-                where = f"level {k}" if nspecies else f"channel {ids[k]!r}"
+                where = f"level {k // len(ids)}" if volume else f"channel {ids[k]!r}"
                 raise FormatError(f"invalid contents in {where}: {exc}") from exc
             yield plane
 
@@ -287,29 +293,43 @@ def read_cloud_mask(path) -> CloudMask:
 
 @_reader
 def read_volume_levels(path):
-    """Open a GMSV hydrometeor volume for reading one level at a time.
+    """Open a GMSV hydrometeor volume for reading one species plane at a time.
 
     The header, species and file size are checked before this returns, so
-    a malformed, truncated or overlong file fails before any level is read;
-    a bad level raises FormatError from the iterator that reads it.
+    a malformed, truncated or overlong file fails before any plane is read;
+    a bad value raises FormatError, naming its level, from the iterator
+    that reads it.
 
     Returns:
-        (species, (levels, height, width), planes). ``planes`` yields each
-        level in file order as a read-only (species, height, width) f32
-        array. All levels share one buffer: a plane is valid only until
-        the next one is read, so copy what must outlive that.
+        (species, (levels, height, width), levels). ``levels`` yields each
+        level in file order as an iterator over its species planes, each a
+        read-only (height, width) f32 array in species order. All planes
+        share one buffer: a plane is valid only until the next one is read,
+        so copy what must outlive that. Before the next level is yielded,
+        whatever the caller left of the previous one is read and judged, so
+        each level starts at its own first plane.
     """
     planes = _planes(path, MAGIC_VOLUME, DTYPE_F32, "an f32 volume")
     (width, height, levels, _), ids = next(planes)
-    return check_species(ids), (levels, height, width), planes
+    species = check_species(ids)
+    return species, (levels, height, width), _levels(planes, levels, len(species))
+
+
+def _levels(planes, count: int, nspecies: int):
+    for _ in range(count):
+        level = itertools.islice(planes, nspecies)
+        yield level
+        for _ in level:  # what the caller left of this level
+            pass
 
 
 @_reader
 def read_volume_file(path) -> HydrometeorVolume:
     """Read a GMSV hydrometeor volume file: read_volume_levels, copied
-    level by level into one float64 array that the container keeps."""
+    plane by plane into one float64 array that the container keeps."""
     species, (levels, height, width), planes = read_volume_levels(path)
     values = np.empty((len(species), levels, height, width))
-    for k, plane in enumerate(planes):
-        values[:, k] = plane
+    for k, level in enumerate(planes):
+        for s, plane in enumerate(level):
+            values[s, k] = plane
     return HydrometeorVolume(species, values)

@@ -2,11 +2,11 @@
 
 All types are immutable after construction: arrays are stored contiguous
 and read-only, so instances can be shared freely across threads.
-Raster2D, CloudMask and HydrometeorVolume keep an input array that
-already has the stored dtype and layout, which leaves the caller's array
-read-only too. Constructors validate invariants loudly; nothing is
-clamped or masked silently. SegmentMap is the one label-map type, with
-0 as unlabeled; MarkerMap is an alias of it.
+Raster2D, SegmentMap, CloudMask and HydrometeorVolume keep an input
+array that already has the stored dtype and layout, which leaves the
+caller's array read-only too. Constructors validate invariants loudly;
+nothing is clamped or masked silently. SegmentMap is the one label-map
+type, with 0 as unlabeled; MarkerMap is an alias of it.
 Grids have no empty axis (``_check_grid``) and channel ids hold no NUL,
 so the codec writes and reads back every shape and id they accept.
 Every CLI command loads this module, so it also holds what the CLI needs
@@ -53,6 +53,17 @@ def _check_grid(arr: np.ndarray, what: str, ndim: int = 2, axes: str = "") -> No
         raise ValueError(f"{what} dimensions must be positive, got {arr.shape}")
 
 
+def finite_bounds(values: np.ndarray):
+    """(min, max) of values if every value is finite, else None.
+
+    min and max propagate NaN, and one of them is infinite whenever any
+    value is, so two reductions decide it without a temporary array. Their
+    sum is never taken: it can overflow.
+    """
+    lo, hi = values.min(), values.max()
+    return (lo, hi) if np.isfinite(lo) and np.isfinite(hi) else None
+
+
 class _Grid:
     """height and width of a container whose shape ends in (rows, cols)."""
 
@@ -81,7 +92,7 @@ class Raster2D(_Grid):
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
         _check_grid(v, "Raster2D")
-        if not np.all(np.isfinite(v)):
+        if finite_bounds(v) is None:
             raise ValueError("Raster2D values must be finite (no NaN/Inf)")
         if not isinstance(self.units, Units):
             raise ValueError(f"bad units: {self.units!r}")
@@ -158,7 +169,9 @@ class SegmentMap(_Grid):
     ``MarkerMap`` is another name for this class. Labels must be
     non-negative int32 values with every label 1..K present; K may be 0.
     The constructor counts them once: ``count`` is K and ``areas`` the
-    read-only pixel count of each label 0..K (``areas[0]`` the unlabeled).
+    read-only pixel count of each label 0..K (``areas[0]`` the unlabeled),
+    a slice at a time, so it makes no image-sized temporary. A C-contiguous
+    int32 array is kept as it is and frozen in place; any other is copied.
     The single-8-connected-component property of each marker is
     guaranteed by the producers (generate_markers) and checked by the
     test suite's brute-force flood oracle.
@@ -171,12 +184,17 @@ class SegmentMap(_Grid):
         _check_grid(lab, "SegmentMap")
         if not np.issubdtype(lab.dtype, np.integer):
             raise ValueError(f"SegmentMap labels must be integers, got {lab.dtype}")
-        if lab.min() < 0 or lab.max() > np.iinfo(np.int32).max:  # before the cast can wrap
-            raise ValueError("SegmentMap labels must be non-negative int32 values")
-        lab = lab.astype(np.int32)
         k = int(lab.max())
-        # k > lab.size cannot be consecutive, and k may be huge: no array of size k
-        areas = np.bincount(lab.ravel()) if k <= lab.size else None
+        if lab.min() < 0 or k > np.iinfo(np.int32).max:  # before the cast can wrap
+            raise ValueError("SegmentMap labels must be non-negative int32 values")
+        lab = np.ascontiguousarray(lab, dtype=np.int32)
+        flat = lab.reshape(-1)
+        # k > lab.size cannot be consecutive, and k may be huge: no array of
+        # size k. bincount casts to intp, so it takes slices no longer than
+        # 64 Ki labels or areas itself.
+        step = max(2 ** 16, k + 1)
+        areas = sum(np.bincount(flat[i:i + step], minlength=k + 1)
+                    for i in range(0, flat.size, step)) if k <= lab.size else None
         seen = np.flatnonzero(areas) if areas is not None else np.unique(lab)
         seen = seen[seen > 0]
         if seen.size < k:
@@ -261,15 +279,11 @@ def check_species(species) -> tuple:
 
 
 def check_mixing_ratios(values: np.ndarray) -> None:
-    """Raise ValueError unless every mixing ratio is finite and non-negative.
-
-    min and max propagate NaN and are infinite whenever any value is, so
-    two reductions decide both rules without a temporary array.
-    """
-    lo, hi = values.min(), values.max()
-    if not (np.isfinite(lo) and np.isfinite(hi)):
+    """Raise ValueError unless every mixing ratio is finite and non-negative."""
+    bounds = finite_bounds(values)
+    if bounds is None:
         raise ValueError("mixing ratios must be finite")
-    if lo < 0:
+    if bounds[0] < 0:
         raise ValueError("mixing ratios must be non-negative")
 
 

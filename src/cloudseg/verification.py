@@ -2,11 +2,13 @@
 
 The truth rule sums all hydrometeor species level by level, takes each
 column's vertical maximum of the summed profile, and calls the column
-cloudy when that maximum exceeds 1e-6 kg/kg. It runs in one pass over
-the levels with a running maximum, so a volume streamed from its file
-needs only one level and two float64 planes at a time. Scores follow the
-standard contingency-table definitions; metrics whose denominator is
-zero are reported as None (serialized to JSON null), never as 0 or NaN.
+cloudy when that maximum exceeds 1e-6 kg/kg. The maximum exceeds the
+threshold exactly when some level's sum does, so one pass over the levels
+ORs each level's test into one bool plane: a volume streamed from its
+file needs one f32 species plane, one float64 sum plane and two bool
+planes at a time. Scores follow the standard contingency-table
+definitions; metrics whose denominator is zero are reported as None
+(serialized to JSON null), never as 0 or NaN.
 """
 
 from dataclasses import dataclass
@@ -21,25 +23,39 @@ def derive_truth_mask(levels, threshold: float = MIXING_RATIO_THRESHOLD) -> Clou
     """Column is cloudy iff the vertical max of the summed species profile
     exceeds the threshold (sum first, then maximize).
 
+    Each level's species are summed in order into one float64 plane (the
+    additions of ``sum(axis=0, dtype=float64)``), and the column is cloudy
+    iff some level's sum exceeds the threshold.
+
     Args:
-        levels: a HydrometeorVolume, or its levels in order as
-            (species, h, w) arrays, e.g. ``vol.values.transpose(1, 0, 2, 3)``
-            or the planes of ``formats.read_volume_levels``. Each level is
+        levels: a HydrometeorVolume, or its levels in order, each an
+            iterable of (h, w) species planes in order: e.g. the
+            (species, h, w) arrays of ``vol.values.transpose(1, 0, 2, 3)``
+            or the levels of ``formats.read_volume_levels``. Each plane is
             used before the next is taken, so a reader may reuse its buffer.
         threshold: mixing ratio (kg/kg) a column's maximum must exceed.
     """
     threshold = check_number(threshold, "threshold")
     if isinstance(levels, HydrometeorVolume):
         levels = levels.values.transpose(1, 0, 2, 3)
-    column_max = None
-    for plane in levels:
-        if column_max is None:
-            column_max = plane.sum(axis=0, dtype=np.float64)
-        else:
-            np.maximum(column_max, plane.sum(axis=0, dtype=np.float64), out=column_max)
-    if column_max is None:
+    cloudy = None
+    for level in levels:
+        planes = iter(level)
+        first = next(planes, None)
+        if first is None:
+            raise ValueError("a truth mask needs at least one species in each level")
+        if cloudy is None:
+            total = np.empty(first.shape)
+            above = np.empty(first.shape, dtype=bool)
+            cloudy = np.zeros(first.shape, dtype=bool)
+        np.copyto(total, first)
+        for plane in planes:
+            np.add(total, plane, out=total)
+        np.greater(total, threshold, out=above)
+        np.logical_or(cloudy, above, out=cloudy)
+    if cloudy is None:
         raise ValueError("a truth mask needs at least one level")
-    return CloudMask(column_max > threshold)
+    return CloudMask(cloudy)
 
 
 @dataclass(frozen=True)

@@ -488,16 +488,17 @@ class TestAtomicOutputs:
                    "--stats-output", tmp_path / "missing" / "stats.csv") == 2
         assert list(out.iterdir()) == []
 
-    def test_bad_last_level_leaves_no_truth_mask(self, tmp_path):
+    def test_bad_last_level_leaves_no_truth_mask(self, tmp_path, capsys):
         from cloudseg import HydrometeorVolume, write_volume_file
         vol_p = tmp_path / "v.gmsv"
-        write_volume_file(HydrometeorVolume(("rain",), np.full((1, 3, 4, 4), 2e-6)), vol_p)
+        write_volume_file(HydrometeorVolume(("rain", "snow"), np.full((2, 3, 4, 4), 2e-6)), vol_p)
         data = bytearray(vol_p.read_bytes())
-        data[-4:] = np.array([np.nan], "<f4").tobytes()
+        data[-4:] = np.array([np.nan], "<f4").tobytes()  # snow's plane in level 2, the file's last
         vol_p.write_bytes(bytes(data))
         out = tmp_path / "out"
         out.mkdir()
         assert run("truth-mask", "--input", vol_p, "--output", out / "truth.gms1") == 2
+        assert "invalid contents in level 2: mixing ratios must be finite" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("clash", ["directory", "same-name", "dot-slash"])

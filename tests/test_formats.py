@@ -311,8 +311,8 @@ class TestContainerErrors:
 
 def test_volume_read_holds_one_float64_copy(tmp_path):
     """Reading a volume holds one float64 copy, twice the file size, plus
-    one f32 level: about 2.2x the file size at peak, where holding the
-    file bytes beside the copy reached 3.3x."""
+    one f32 species plane: about 2.05x the file size at peak, where holding
+    the file bytes beside the copy reached 3.3x."""
     values = np.random.default_rng(3).random((5, 5, 96, 128)) * 1e-5
     p = tmp_path / "v.gmsv"
     write_volume_file(HydrometeorVolume(cloudseg.HYDROMETEOR_SPECIES, values), p)
@@ -328,9 +328,10 @@ def test_volume_read_holds_one_float64_copy(tmp_path):
 
 
 def test_streamed_truth_mask_holds_a_level_not_the_volume(tmp_path):
-    """Reading and masking a 5-level volume level by level holds one f32
-    level and two float64 planes: about 0.42x the file size at peak,
-    where reading the whole volume first reached 3.25x."""
+    """Reading and masking a 5-level volume a species plane at a time holds
+    one f32 plane, one float64 plane and two bool planes (with numpy's
+    64 KiB casting buffer, 0.20x the file size at peak), where reading the
+    whole volume first reached 3.25x and a level at a time 0.42x."""
     values = np.random.default_rng(4).random((5, 5, 96, 128)) * 1e-6
     vol = HydrometeorVolume(cloudseg.HYDROMETEOR_SPECIES, values.astype(np.float32))
     p = tmp_path / "v.gmsv"
@@ -338,13 +339,35 @@ def test_streamed_truth_mask_holds_a_level_not_the_volume(tmp_path):
     size = p.stat().st_size
     tracemalloc.start()
     try:
-        _, _, planes = read_volume_levels(p)
-        mask = derive_truth_mask(planes)
+        _, _, levels = read_volume_levels(p)
+        mask = derive_truth_mask(levels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     np.testing.assert_array_equal(mask.flags, derive_truth_mask(vol).flags)
-    assert peak <= 0.5 * size, f"peak {peak / size:.2f}x the file size"
+    assert peak <= 0.25 * size, f"peak {peak / size:.2f}x the file size"
+
+
+def test_streamed_truth_mask_holds_four_planes(tmp_path):
+    """At 512 x 512 with 5 levels of 5 species, the streamed truth mask
+    holds one f32 plane (1 MiB), one float64 plane (2 MiB) and two bool
+    planes (0.5 MiB) plus 128 KiB of slack, half of it numpy's buffer for
+    casting f32 to float64. A level buffer, a float64 level sum and a
+    float64 column maximum took about 9 MiB."""
+    side = 512
+    values = np.random.default_rng(8).random((5, 5, side, side), dtype=np.float32) * 3e-7
+    p = tmp_path / "v.gmsv"
+    write_volume_file(HydrometeorVolume(cloudseg.HYDROMETEOR_SPECIES, values), p)
+    del values
+    plane = side * side
+    tracemalloc.start()
+    try:
+        mask = derive_truth_mask(read_volume_levels(p)[2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask.flags.any() and not mask.flags.all()
+    assert peak <= 4 * plane + 8 * plane + 2 * plane + 2 ** 17, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
 def _traced_peak(action) -> int:
@@ -404,12 +427,14 @@ class TestVolumeLevels:
         values = (rng.random((2, 3, 4, 5)) * 1e-5).astype(np.float32)
         p = tmp_path / "v.gmsv"
         write_volume_file(HydrometeorVolume(("rain", "snow"), values), p)
-        species, shape, planes = read_volume_levels(p)
+        species, shape, levels = read_volume_levels(p)
         assert species == ("rain", "snow")
         assert shape == (3, 4, 5)
-        for k, plane in enumerate(planes):
-            assert plane.dtype == np.float32 and not plane.flags.writeable
-            np.testing.assert_array_equal(plane, values[:, k])
+        for k, level in enumerate(levels):
+            for s, plane in enumerate(level):
+                assert plane.shape == (4, 5) and plane.dtype == np.float32 and not plane.flags.writeable
+                np.testing.assert_array_equal(plane, values[s, k])
+            assert s == 1
         assert k == 2
 
     @pytest.mark.parametrize("edit, match", [
@@ -428,11 +453,42 @@ class TestVolumeLevels:
         data = volume_header(1, 1, 3, 1) + ids("rain") + f32(0.0, 1e-6, np.nan)
         p = tmp_path / "v.gmsv"
         p.write_bytes(data)
-        _, _, planes = read_volume_levels(p)
-        assert next(planes)[0, 0, 0] == 0.0
-        assert next(planes)[0, 0, 0] == np.float32(1e-6)
+        _, _, levels = read_volume_levels(p)
+        assert next(next(levels))[0, 0] == 0.0
+        assert next(next(levels))[0, 0] == np.float32(1e-6)
+        level = next(levels)
         with pytest.raises(FormatError, match="level 2.*finite"):
-            next(planes)
+            next(level)
+
+    def test_a_partly_read_level_leaves_the_next_level_whole(self, tmp_path, rng):
+        """A caller that reads one plane of level 0 and none of level 1
+        still gets level 2 from its first species."""
+        values = (rng.random((3, 3, 2, 2)) * 1e-5).astype(np.float32)
+        p = tmp_path / "v.gmsv"
+        write_volume_file(HydrometeorVolume(("rain", "snow", "graupel"), values), p)
+        _, _, levels = read_volume_levels(p)
+        np.testing.assert_array_equal(next(next(levels)), values[0, 0])
+        next(levels)
+        last = next(levels)
+        np.testing.assert_array_equal(next(last), values[0, 2])
+        np.testing.assert_array_equal(next(last), values[1, 2])
+        assert next(levels, None) is None
+
+    @pytest.mark.parametrize("bad_level", [0, 2])
+    def test_a_skipped_plane_is_still_judged(self, tmp_path, bad_level):
+        """A NaN in a species plane the caller never reads raises
+        FormatError naming its level when the caller moves on."""
+        values = np.full((2, 3, 1, 1), 1e-6, dtype=np.float32)
+        p = tmp_path / "v.gmsv"
+        write_volume_file(HydrometeorVolume(("rain", "snow"), values), p)
+        data = bytearray(p.read_bytes())
+        at = len(data) - 4 * (5 - 2 * bad_level)  # snow's plane in bad_level
+        data[at:at + 4] = f32(np.nan)
+        p.write_bytes(bytes(data))
+        _, _, levels = read_volume_levels(p)
+        with pytest.raises(FormatError, match=f"invalid contents in level {bad_level}: .*finite"):
+            for level in levels:
+                assert next(level)[0, 0] == np.float32(1e-6)
 
 
 def _volume_values(path):
@@ -440,6 +496,7 @@ def _volume_values(path):
 
 
 def _volume_levels(path):
+    """Every level taken and none of its planes read: each is judged still."""
     return list(read_volume_levels(path)[2])
 
 
@@ -509,9 +566,10 @@ _READERS = (
 
 
 def _read_levels(path):
-    """The level reader, fully consumed: species and a copy of each level."""
-    species, _, planes = read_volume_levels(path)
-    return species, [plane.copy() for plane in planes]
+    """The level reader, fully consumed: species and a copy of each level,
+    its species planes stacked."""
+    species, _, levels = read_volume_levels(path)
+    return species, [np.stack([plane.copy() for plane in level]) for level in levels]
 
 
 # tmp_path is shared by the examples on purpose: each one rewrites the file

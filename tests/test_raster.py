@@ -1,6 +1,7 @@
 """Container invariants: bad constructions must fail loudly."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from cloudseg import (
     merge_small_regions,
     otsu_threshold,
 )
+from cloudseg.raster import finite_bounds
 
 
 class TestRaster2D:
@@ -40,6 +42,32 @@ class TestRaster2D:
             Raster2D([[1.0, np.nan]])
         with pytest.raises(ValueError, match="finite"):
             Raster2D([[1.0, np.inf]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_finiteness_needs_no_bool_plane(self, bad):
+        """A 1024 x 1024 float64 array is kept as it is and judged by its
+        min and max: the constructor allocates far less than the 1 MiB
+        bool plane of np.isfinite, and finds one bad value anywhere."""
+        values = np.random.default_rng(2).normal(250.0, 10.0, size=(1024, 1024))
+        tracemalloc.start()
+        try:
+            r = Raster2D(values, Units.KELVIN)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.values is values and not values.flags.writeable
+        assert peak <= 64 * 2 ** 10, f"peak {peak / 2 ** 10:.0f} KiB"
+        spoiled = values.copy()
+        spoiled[700, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Raster2D(spoiled)
+
+    def test_finite_bounds_do_not_overflow(self):
+        """The largest finite values of either sign are finite: the rule
+        never adds min and max."""
+        big = np.finfo(np.float64).max
+        assert finite_bounds(np.array([big, big])) == (big, big)
+        assert Raster2D([[-big, big]]).values.tolist() == [[-big, big]]
 
     def test_rejects_wrong_ndim(self):
         with pytest.raises(ValueError, match="2D"):
@@ -162,6 +190,34 @@ class TestLabelRasters:
         assert not seg.areas.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             seg.areas[0] = 1
+
+    @pytest.mark.parametrize("side, k", [(256, 7), (257, 1), (300, 70_000), (300, 90_000)],
+                             ids=["one-slice", "two-slices", "k-beyond-a-slice", "every-pixel"])
+    def test_areas_are_exact_across_count_slices(self, rng, side, k):
+        """Labels are counted a slice of 65,536 (or k + 1) at a time; the
+        sum over slices is the whole map's bincount."""
+        flat = np.concatenate([np.arange(1, k + 1), rng.integers(0, k + 1, side * side - k)])
+        labels = rng.permutation(flat).reshape(side, side)
+        seg = SegmentMap(labels)
+        assert seg.count == k
+        np.testing.assert_array_equal(seg.areas, np.bincount(labels.ravel(), minlength=k + 1))
+
+    def test_int32_labels_are_counted_in_place(self):
+        """A C-contiguous 1024 x 1024 int32 map is kept and frozen in place,
+        and counting it allocates no image-sized temporary: the peak is one
+        512 KiB intp slice, where an int32 copy and a whole-map intp cast
+        took 12 MiB."""
+        n = 1024
+        labels = (np.arange(n * n, dtype=np.int32) % 1000).reshape(n, n) + 1
+        tracemalloc.start()
+        try:
+            seg = SegmentMap(labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seg.labels is labels and not labels.flags.writeable
+        assert seg.count == 1000 and seg.areas[1:].sum() == n * n
+        assert peak <= 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
 class TestCloudMask:

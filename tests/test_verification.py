@@ -82,6 +82,10 @@ class TestTruthMask:
         with pytest.raises(ValueError, match="at least one level"):
             derive_truth_mask([])
 
+    def test_needs_a_species_in_every_level(self):
+        with pytest.raises(ValueError, match="at least one species in each level"):
+            derive_truth_mask([np.zeros((1, 2, 2)), np.zeros((0, 2, 2))])
+
 
 class TestContingency:
     def test_perfect_prediction(self):
