@@ -58,7 +58,10 @@ def ccs_segment(bt: Raster2D, cfg: CcsConfig = CcsConfig()) -> SegmentMap:
         seeds = seed_order(labels, eligible)
         if len(seeds):
             labels = priority_flood(values, labels, seeds, eligible)
-    return merge_small_regions(SegmentMap(labels), min_area=cfg.min_area)
+        del eligible, seeds
+    seg = SegmentMap(labels)
+    del labels  # a flood's output is a view of its padded grid, which the merge need not hold
+    return merge_small_regions(seg, min_area=cfg.min_area)
 
 
 def ccs_cloud_mask(seg: SegmentMap) -> CloudMask:

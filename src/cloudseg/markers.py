@@ -7,6 +7,7 @@ become the markers the watershed floods from.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -34,7 +35,9 @@ def otsu_threshold(field: Raster2D, bins: int = 256) -> OtsuResult:
 
     A `bins`-bin histogram is built over [min, max]; every interior bin
     edge is a candidate split with the low class taken as values <= edge.
-    Ties go to the lowest qualifying edge.
+    Splits within a relative 1e-9 of the best float score are compared
+    again in exact arithmetic on the float bin centres, so that ties go to
+    the lowest qualifying edge whatever the rounding.
 
     Raises:
         ConstantFieldError: all values identical, nothing to separate.
@@ -49,18 +52,25 @@ def otsu_threshold(field: Raster2D, bins: int = 256) -> OtsuResult:
     centers = (edges[:-1] + edges[1:]) / 2.0
     counts = hist.astype(np.float64)
     total = counts.sum()
-    cum_n = np.cumsum(counts)
     cum_s = np.cumsum(counts * centers)
-    n0 = cum_n[:-1]
-    s0 = cum_s[:-1]
+    # split k's low class is bins 0..k; vmin falls in the first bin and vmax in
+    # the last, so neither class is ever empty
+    n0 = np.cumsum(counts)[:-1]
     n1 = total - n0
-    s1 = cum_s[-1] - s0
-    variance = np.zeros(bins - 1)
-    ok = (n0 > 0) & (n1 > 0)
-    mu0 = np.divide(s0, n0, out=np.zeros_like(s0), where=n0 > 0)
-    mu1 = np.divide(s1, n1, out=np.zeros_like(s1), where=n1 > 0)
-    variance[ok] = (n0 * n1)[ok] / (total * total) * (mu0 - mu1)[ok] ** 2
+    variance = n0 * n1 / (total * total) * (cum_s[:-1] / n0 - (cum_s[-1] - cum_s[:-1]) / n1) ** 2
     split = int(np.argmax(variance))  # first occurrence = lowest edge on ties
+    near = np.flatnonzero(variance >= variance[split] * (1.0 - 1e-9))
+    near = near[np.unique(n0[near], return_index=True)[1]]  # equal low-class counts tie exactly
+    if near.size > 1:
+        nonzero = np.flatnonzero(hist)
+        weighted = [int(hist[i]) * Fraction(float(centers[i])) for i in nonzero]
+        n, s = int(total), sum(weighted)
+
+        def exact(k):  # split k's between-class variance times n ** 2
+            n0_k, s0 = int(n0[k]), sum(weighted[:np.searchsorted(nonzero, k, side="right")])
+            return (n * s0 - n0_k * s) ** 2 / (n0_k * (n - n0_k))
+
+        split = max(near.tolist(), key=lambda k: (exact(k), -k))
     return OtsuResult(
         threshold=float(edges[split + 1]),
         between_class_variance=float(variance[split]),

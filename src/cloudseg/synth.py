@@ -15,20 +15,20 @@ truth contour, which no boundary-seeking segmentation can recover, while
 a plateau with steep rims keeps the two aligned.
 
 Clouds are rendered a run at a time. A run is a stretch of consecutive
-clouds that share radius_px, depth, hydrometeor_peak, warm/cold species
-split and window shape (every deck() lattice is one); it is split so that
-one stack holds at most _RUN_ENTRIES window pixels. Each run is evaluated
-as one (m, rows, cols) Gaussian stack and scattered into flat depression
-and per-species plume planes with np.add.at, cloud-major, runs in spec
-order. This gives the bytes of adding one cloud's window at a time:
-np.add.at is unbuffered and applies its entries in order, and a cloud
-touches a pixel at most once, so every pixel still sums its clouds in
-spec order starting from 0.0. Each per-cloud scalar is the one a
-cloud-at-a-time loop computes: the window comes from Python math per
-cloud (np.log may differ from libm by an ulp and move a window edge),
-depth is background_bt - min_bt, and the denominator is
-2.0 * radius_px ** 2. Partial sums (bincount) are never added into a
-plane, since that would change how each pixel's sum associates.
+clouds that share radius_px, depth, hydrometeor_peak and warm/cold species
+split (every deck() lattice is one). Its reach comes from Python math once
+(np.log may differ from libm by an ulp and move a window edge); each
+cloud's window, floor/ceil of centre -/+ reach, is clipped to the grid, and
+the run is one (m, size, size) Gaussian stack from the windows' corners,
+masked to each window, at most _RUN_ENTRIES pixels a stack. Its in-window
+pixels are scattered into flat depression and per-species plume planes
+with np.add.at, cloud-major, runs in spec order. This gives the bytes of
+adding one cloud's window at a time: np.add.at is unbuffered and applies
+its entries in order, and a cloud touches a pixel at most once, so every
+pixel still sums its clouds in spec order starting from 0.0. Depth is
+background_bt - min_bt and the denominator 2.0 * radius_px ** 2, as a
+cloud-at-a-time loop computes them. Partial sums (bincount) are never
+added into a plane, since that would change how each pixel's sum associates.
 
 The water-vapor channel is a smoothed (sigma 2 px), damped (factor 0.6)
 copy of the total depression field offset +10 K; the constants exist only
@@ -139,17 +139,6 @@ class SceneSpec:
                 )
 
 
-def _cloud_window(cloud: CloudSpec, depth: float, height: int, width: int):
-    """Bounding box (r0, r1, c0, c1) outside which the depression < cutoff."""
-    reach = cloud.radius_px * math.sqrt(2.0 * math.log(depth / _TAIL_CUTOFF_K))
-    row, col = cloud.center
-    r0 = max(0, int(math.floor(row - reach)))
-    r1 = min(height, int(math.ceil(row + reach)) + 1)
-    c0 = max(0, int(math.floor(col - reach)))
-    c1 = min(width, int(math.ceil(col + reach)) + 1)
-    return r0, r1, c0, c1
-
-
 def _gaussian_blur(values: np.ndarray) -> np.ndarray:
     """scipy.ndimage.gaussian_filter(values, WV_SMOOTH_SIGMA) bit for bit: correlate1d's
     terms in its order. Radius int(4 sigma + 0.5), "reflect" borders (numpy's
@@ -167,15 +156,17 @@ def _gaussian_blur(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _render_run(depression, plume, key, corners, centres, width: int) -> None:
-    """Add one run of m clouds, given their window corners and centres as
-    (m, 2) arrays, into the flat planes, cloud-major."""
-    radius, depth, peak, warm, n_rows, n_cols = key
-    rows = corners[:, :1] + np.arange(n_rows)   # (m, n_rows)
-    cols = corners[:, 1:] + np.arange(n_cols)   # (m, n_cols)
+def _render_run(depression, plume, key, centres, lo, hi, size: int, width: int) -> None:
+    """Add one run of m clouds into the flat planes, cloud-major. Each cloud's
+    window is rows and columns [lo, hi), given with centres as (m, 2) arrays;
+    all are evaluated as one (m, size, size) stack from lo, masked to the window."""
+    radius, depth, peak, warm = key
+    rows = lo[:, :1] + np.arange(size)   # (m, size)
+    cols = lo[:, 1:] + np.arange(size)
+    inside = (rows < hi[:, :1])[:, :, None] & (cols < hi[:, 1:])[:, None, :]
     dist2 = ((rows - centres[:, :1]) ** 2)[:, :, None] + ((cols - centres[:, 1:]) ** 2)[:, None, :]
-    local = (depth * np.exp(-dist2 / (2.0 * radius ** 2))).ravel()
-    pixels = ((rows * width)[:, :, None] + cols[:, None, :]).ravel()
+    local = depth * np.exp(-dist2[inside] / (2.0 * radius ** 2))
+    pixels = ((rows * width)[:, :, None] + cols[:, None, :])[inside]
     np.add.at(depression, pixels, local)
     support = pixels[local > TRUTH_DEPRESSION_K]
     for name, fraction in (_WARM_SPLIT if warm else _COLD_SPLIT).items():
@@ -186,28 +177,22 @@ def _render(spec: SceneSpec):
     """The noiseless depression (height, width) and the column peak of each
     species (species, height, width), summed over the clouds in spec order."""
     h, w = spec.height, spec.width
-    keys, corners, centres = [], [], []
-    for cloud in spec.clouds:
-        depth = spec.background_bt - cloud.min_bt
-        if depth <= _TAIL_CUTOFF_K:
-            continue
-        r0, r1, c0, c1 = _cloud_window(cloud, depth, h, w)
-        warm = cloud.min_bt > _COLD_TOP_BT
-        keys.append((cloud.radius_px, depth, cloud.hydrometeor_peak, warm, r1 - r0, c1 - c0))
-        corners.append((r0, c0))
-        centres.append(cloud.center)
-    corners = np.array(corners, dtype=np.intp).reshape(-1, 2)
-    centres = np.array(centres, dtype=np.float64).reshape(-1, 2)
+    bg = spec.background_bt
     depression = np.zeros(h * w)
     plume = np.zeros((len(HYDROMETEOR_SPECIES), h * w))
-    start = 0
-    for key, run in itertools.groupby(keys):
-        end = start + sum(1 for _ in run)
-        step = max(1, _RUN_ENTRIES // (key[4] * key[5]))
-        for i in range(start, end, step):
-            j = min(i + step, end)
-            _render_run(depression, plume, key, corners[i:j], centres[i:j], w)
-        start = end
+    deep = (cloud for cloud in spec.clouds if bg - cloud.min_bt > _TAIL_CUTOFF_K)
+    for key, run in itertools.groupby(deep, lambda cloud: (cloud.radius_px, bg - cloud.min_bt,
+                                                           cloud.hydrometeor_peak, cloud.min_bt > _COLD_TOP_BT)):
+        radius, depth = key[:2]
+        reach = radius * math.sqrt(2.0 * math.log(depth / _TAIL_CUTOFF_K))  # past it, depth * exp < cutoff
+        centres = np.array([cloud.center for cloud in run])
+        lo = np.maximum(np.floor(centres - reach), 0).astype(np.intp)
+        hi = np.minimum(np.ceil(centres + reach) + 1, (h, w)).astype(np.intp)
+        size = int((hi - lo).max())
+        step = max(1, _RUN_ENTRIES // (size * size))
+        for i in range(0, len(centres), step):
+            j = i + step
+            _render_run(depression, plume, key, centres[i:j], lo[i:j], hi[i:j], size, w)
     return depression.reshape(h, w), plume.reshape(-1, h, w)
 
 

@@ -7,14 +7,13 @@ loops. Slow is fine; agreeing for the wrong reason is not.
 """
 
 import heapq
+import math
 import struct
 
 import numpy as np
 
 from cloudseg.raster import HYDROMETEOR_SPECIES
-from cloudseg.synth import (
-    _COLD_SPLIT, _COLD_TOP_BT, _TAIL_CUTOFF_K, _WARM_SPLIT, TRUTH_DEPRESSION_K, _cloud_window,
-)
+from cloudseg.synth import _COLD_SPLIT, _COLD_TOP_BT, _TAIL_CUTOFF_K, _WARM_SPLIT, TRUTH_DEPRESSION_K
 
 
 def window_max(values: np.ndarray, radius: int) -> np.ndarray:
@@ -346,10 +345,13 @@ def render_reference(spec):
         depth = bg - cloud.min_bt
         if depth <= _TAIL_CUTOFF_K:
             continue
-        r0, r1, c0, c1 = _cloud_window(cloud, depth, h, w)
+        # the window outside which the depression stays below the cutoff
+        reach = cloud.radius_px * math.sqrt(2.0 * math.log(depth / _TAIL_CUTOFF_K))
+        cy, cx = cloud.center
+        r0, r1 = max(0, math.floor(cy - reach)), min(h, math.ceil(cy + reach) + 1)
+        c0, c1 = max(0, math.floor(cx - reach)), min(w, math.ceil(cx + reach) + 1)
         rows = np.arange(r0, r1, dtype=np.float64)[:, None]
         cols = np.arange(c0, c1, dtype=np.float64)[None, :]
-        cy, cx = cloud.center
         dist2 = (rows - cy) ** 2 + (cols - cx) ** 2
         local = depth * np.exp(-dist2 / (2.0 * cloud.radius_px ** 2))
         depression[r0:r1, c0:c1] += local

@@ -1,11 +1,14 @@
 """Threshold/region-growing baseline segmentation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
 from conftest import make_bt
-from cloudseg import CcsConfig, Raster2D, Units, ccs_cloud_mask, ccs_segment, label_components
+from cloudseg import (CcsConfig, CloudSpec, Raster2D, SceneSpec, Units, ccs_cloud_mask, ccs_segment, deck,
+                      generate_scene, label_components)
 
 NO_CLEANUP = CcsConfig(min_area=1)
 
@@ -107,6 +110,30 @@ class TestSegmentation:
         assert seg.count == 1
         assert seg.labels[10, 10] == 0
         assert (seg.labels[2:7, 2:7] == 1).all()
+
+    def test_the_merge_holds_only_the_map(self):
+        """768 x 768: 40 cold decks and 40 small cells, grown over two levels,
+        then merged. ccs_segment peaks under 1.5 float64 planes above its
+        input (about 1.3); with the last flood's padded grid held beside the
+        merge it peaked at about 1.78."""
+        rng = np.random.default_rng(3)
+        size, cols, rows = 768, 8, 5
+        clouds = []
+        for slot in range(cols * rows):
+            row, col = (slot // cols + 0.5) * size / rows, (slot % cols + 0.5) * size / cols
+            clouds += deck((row, col), 10.0 + 20.0 * rng.random(), 205.0 + 40.0 * rng.random())
+            clouds.append(CloudSpec((row + 0.4 * size / rows, col + 0.4 * size / cols),
+                                    2.0 + 2.0 * rng.random(), 205.0 + 35.0 * rng.random()))
+        spec = SceneSpec(width=size, height=size, clouds=tuple(clouds), rng_seed=1)
+        bt = generate_scene(spec)[0].raster("ir_window")
+        tracemalloc.start()
+        try:
+            seg = ccs_segment(bt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ccs_segment(bt, NO_CLEANUP).count > seg.count > 0
+        assert peak <= 1.5 * bt.values.nbytes, f"peak {peak / bt.values.nbytes:.2f} planes"
 
     def test_requires_kelvin(self, rng):
         plain = Raster2D(rng.uniform(200, 300, size=(4, 4)), Units.DIMENSIONLESS)

@@ -54,7 +54,7 @@ def run_cli(command, channels, flags, outputs):
         return code, {flag: path.read_bytes() for flag, path in paths.items() if path.exists()}
 
 
-@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
 @given(channels=scenes(), data=st.data())
 def test_segment_matches_reference(channels, data):
     scales = data.draw(st.sampled_from([1, 2, 5]), "scales")
@@ -83,7 +83,7 @@ def test_segment_matches_reference(channels, data):
     }
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
 @given(channels=scenes(), data=st.data())
 def test_ccs_matches_reference(channels, data):
     levels = sorted(data.draw(st.sets(KELVIN, min_size=1, max_size=3), "levels"))

@@ -36,6 +36,13 @@ class TestOtsu:
             assert got.threshold == want_thr
             assert abs(got.between_class_variance - want_var) <= 1e-12
 
+    def test_rounding_does_not_pick_the_split(self):
+        # on these float centres the split at 20.33 scores 82.6888...8 exactly and
+        # the one at 40.67 82.6888...5, but in floats ...93 and ...97
+        values = [[0.0, 40.0, 40.0, 40.0, 61.0, 21.0]]
+        got = otsu_threshold(make_field(values), bins=3)
+        assert got.threshold == oracles.exhaustive_otsu(np.array(values), 3)[0] == 61.0 / 3
+
     def test_threshold_within_value_range(self, rng):
         field = smooth_field(rng, 12, 12)
         r = otsu_threshold(field)

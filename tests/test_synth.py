@@ -173,10 +173,39 @@ _REFERENCE_CASES = {
 }
 
 
+@pytest.fixture
+def stacks(monkeypatch):
+    """(clouds, size) of each stack that synth._render_run evaluates."""
+    seen = []
+    render_run = synth._render_run
+
+    def spy(depression, plume, key, centres, lo, hi, size, width):
+        seen.append((len(centres), size))
+        render_run(depression, plume, key, centres, lo, hi, size, width)
+
+    monkeypatch.setattr(synth, "_render_run", spy)
+    return seen
+
+
 class TestRunRendering:
     @pytest.mark.parametrize("name", sorted(_REFERENCE_CASES))
     def test_equals_one_cloud_at_a_time(self, name):
         assert_renders_like_reference(_REFERENCE_CASES[name])
+
+    def test_a_clipped_stack_is_no_wider_than_the_grid(self, stacks):
+        # this cloud reaches 121 px: its window, clipped at 0 alone, is 124 px wide
+        spec = SceneSpec(width=3, height=3, clouds=(CloudSpec((1.0, 1.0), 20.0, 200.0),))
+        synth._render(spec)
+        assert stacks == [(1, 3)]
+        assert_renders_like_reference(spec)
+
+    def test_equal_clouds_clipped_on_different_sides_are_one_stack(self, stacks):
+        # windows of 11 x 21 (top, bottom), 21 x 11 (left, right) and 21 x 21 (inside)
+        centres = ((0.0, 24.0), (20.0, 0.0), (39.0, 24.0), (20.0, 47.0), (20.0, 24.0))
+        spec = SceneSpec(width=48, height=40, clouds=tuple(CloudSpec(c, 1.6, 230.0) for c in centres))
+        synth._render(spec)
+        assert stacks == [(5, 21)]
+        assert_renders_like_reference(spec)
 
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(
