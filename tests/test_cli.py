@@ -584,7 +584,8 @@ _CHILD = (
     "                  'frozen': gc.get_freeze_count() > 0,\n"
     "                  'cloudseg': sorted(m for m in sys.modules if m.split('.')[0] == 'cloudseg'),\n"
     "                  'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
-    "                  'csv': 'csv' in sys.modules}}))\n"
+    "                  'csv': 'csv' in sys.modules,\n"
+    "                  'fractions': 'fractions' in sys.modules}}))\n"
 )
 
 
@@ -634,6 +635,8 @@ def test_child_process(tmp_path, module, blas_threads, expected):
     assert observed["scipy"] == []
     # the stats CSV is written without the csv module
     assert observed["csv"] is False
+    # Otsu loads fractions (and with it decimal) only to re-score near-tied splits
+    assert observed["fractions"] is False
     # only the entry point freezes what the process holds, once a command has run
     assert observed["frozen"] == run_commands
     assert (tmp_path / "out-report.json").exists() == run_commands
