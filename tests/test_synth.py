@@ -199,6 +199,14 @@ class TestRunRendering:
         assert stacks == [(1, 3)]
         assert_renders_like_reference(spec)
 
+    def test_an_infinite_reach_covers_the_grid(self):
+        # depth / _TAIL_CUTOFF_K overflows to inf, and so does the reach
+        spec = SceneSpec(width=4, height=3, clouds=(CloudSpec((1.0, 1.0), 2.0, -1e303),))
+        depression, _ = synth._render(spec)
+        rows, cols = np.indices((3, 4))
+        dist2 = (rows - 1.0) ** 2 + (cols - 1.0) ** 2
+        np.testing.assert_array_equal(depression, (290.0 + 1e303) * np.exp(-dist2 / (2.0 * 2.0 ** 2)))
+
     def test_equal_clouds_clipped_on_different_sides_are_one_stack(self, stacks):
         # windows of 11 x 21 (top, bottom), 21 x 11 (left, right) and 21 x 21 (inside)
         centres = ((0.0, 24.0), (20.0, 0.0), (39.0, 24.0), (20.0, 47.0), (20.0, 24.0))
