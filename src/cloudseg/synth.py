@@ -16,13 +16,15 @@ a plateau with steep rims keeps the two aligned.
 
 Clouds are rendered a run at a time. A run is a stretch of consecutive
 clouds that share radius_px, depth, hydrometeor_peak and warm/cold species
-split (every deck() lattice is one). Its reach comes from Python math once
-(np.log may differ from libm by an ulp and move a window edge); each
-cloud's window, floor/ceil of centre -/+ reach, is clipped to the grid, and
-the run is one (m, size, size) Gaussian stack from the windows' corners,
-masked to each window, at most _RUN_ENTRIES pixels a stack. Its in-window
-pixels are scattered into flat depression and per-species plume planes
-with np.add.at, cloud-major, runs in spec order. This gives the bytes of
+split (every deck() lattice is one). Each cloud's reach comes from Python
+math (np.log may differ from libm by an ulp and move a window edge), and
+one numpy pass clips every window, floor/ceil of centre -/+ reach, to the
+grid. A run is rendered in stacks of at most _RUN_ENTRIES pixels: each is
+one (m, rows, cols) Gaussian array from the windows' corners, as tall and
+as wide as its tallest and widest window, masked to each window unless it
+holds one cloud. Its in-window pixels are scattered into flat depression
+and per-species plume planes with np.add.at, cloud-major, runs in spec
+order. This gives the bytes of
 adding one cloud's window at a time: np.add.at is unbuffered and applies
 its entries in order, and a cloud touches a pixel at most once, so every
 pixel still sums its clouds in spec order starting from 0.0. Depth is
@@ -156,17 +158,19 @@ def _gaussian_blur(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _render_run(depression, plume, key, centres, lo, hi, size: int, width: int) -> None:
+def _render_run(depression, plume, key, centres, lo, hi, n_rows: int, n_cols: int, width: int) -> None:
     """Add one run of m clouds into the flat planes, cloud-major. Each cloud's
     window is rows and columns [lo, hi), given with centres as (m, 2) arrays;
-    all are evaluated as one (m, size, size) stack from lo, masked to the window."""
+    all are evaluated as one (m, n_rows, n_cols) stack from lo, masked to the window."""
     radius, depth, peak, warm = key
-    rows = lo[:, :1] + np.arange(size)   # (m, size)
-    cols = lo[:, 1:] + np.arange(size)
-    inside = (rows < hi[:, :1])[:, :, None] & (cols < hi[:, 1:])[:, None, :]
-    dist2 = ((rows - centres[:, :1]) ** 2)[:, :, None] + ((cols - centres[:, 1:]) ** 2)[:, None, :]
-    local = depth * np.exp(-dist2[inside] / (2.0 * radius ** 2))
-    pixels = ((rows * width)[:, :, None] + cols[:, None, :])[inside]
+    rows = lo[:, :1] + np.arange(n_rows)   # (m, n_rows)
+    cols = lo[:, 1:] + np.arange(n_cols)   # (m, n_cols)
+    dist2 = (((rows - centres[:, :1]) ** 2)[:, :, None] + ((cols - centres[:, 1:]) ** 2)[:, None, :]).ravel()
+    pixels = ((rows * width)[:, :, None] + cols[:, None, :]).ravel()
+    if len(centres) > 1:  # a lone cloud's window is the whole stack
+        inside = ((rows < hi[:, :1])[:, :, None] & (cols < hi[:, 1:])[:, None, :]).ravel()
+        dist2, pixels = dist2[inside], pixels[inside]
+    local = depth * np.exp(-dist2 / (2.0 * radius ** 2))
     np.add.at(depression, pixels, local)
     support = pixels[local > TRUTH_DEPRESSION_K]
     for name, fraction in (_WARM_SPLIT if warm else _COLD_SPLIT).items():
@@ -178,21 +182,25 @@ def _render(spec: SceneSpec):
     species (species, height, width), summed over the clouds in spec order."""
     h, w = spec.height, spec.width
     bg = spec.background_bt
+    deep = [cloud for cloud in spec.clouds if bg - cloud.min_bt > _TAIL_CUTOFF_K]
+    runs = [(key, sum(1 for _ in run)) for key, run in itertools.groupby(deep, lambda cloud: (
+        cloud.radius_px, bg - cloud.min_bt, cloud.hydrometeor_peak, cloud.min_bt > _COLD_TOP_BT))]
+    # past its reach, a cloud's depth * exp is below the cutoff
+    reach = [radius * math.sqrt(2.0 * math.log(depth / _TAIL_CUTOFF_K)) for (radius, depth, *_), _ in runs]
+    reach = np.repeat(reach, [n for _, n in runs])[:, None]
+    centres = np.array([cloud.center for cloud in deep]).reshape(-1, 2)
+    lo = np.maximum(np.floor(centres - reach), 0).astype(np.intp)
+    hi = np.minimum(np.ceil(centres + reach) + 1, (h, w)).astype(np.intp)
+    extent = (hi - lo).tolist()
     depression = np.zeros(h * w)
     plume = np.zeros((len(HYDROMETEOR_SPECIES), h * w))
-    deep = (cloud for cloud in spec.clouds if bg - cloud.min_bt > _TAIL_CUTOFF_K)
-    for key, run in itertools.groupby(deep, lambda cloud: (cloud.radius_px, bg - cloud.min_bt,
-                                                           cloud.hydrometeor_peak, cloud.min_bt > _COLD_TOP_BT)):
-        radius, depth = key[:2]
-        reach = radius * math.sqrt(2.0 * math.log(depth / _TAIL_CUTOFF_K))  # past it, depth * exp < cutoff
-        centres = np.array([cloud.center for cloud in run])
-        lo = np.maximum(np.floor(centres - reach), 0).astype(np.intp)
-        hi = np.minimum(np.ceil(centres + reach) + 1, (h, w)).astype(np.intp)
-        size = int((hi - lo).max())
-        step = max(1, _RUN_ENTRIES // (size * size))
-        for i in range(0, len(centres), step):
-            j = i + step
-            _render_run(depression, plume, key, centres[i:j], lo[i:j], hi[i:j], size, w)
+    for (key, n), end in zip(runs, itertools.accumulate(n for _, n in runs)):
+        n_rows, n_cols = map(max, zip(*extent[end - n:end]))
+        step = max(1, _RUN_ENTRIES // (n_rows * n_cols))
+        for i in range(end - n, end, step):
+            j = min(i + step, end)
+            n_rows, n_cols = map(max, zip(*extent[i:j]))  # the stack: the tallest and the widest window
+            _render_run(depression, plume, key, centres[i:j], lo[i:j], hi[i:j], n_rows, n_cols, w)
     return depression.reshape(h, w), plume.reshape(-1, h, w)
 
 
@@ -270,11 +278,7 @@ def deck(center, radius_px: float, min_bt: float) -> list:
 def preset_warm_stratiform() -> SceneSpec:
     """One large warm stratiform deck, cloud tops near 261 K: everything a
     253 K threshold cannot see."""
-    return SceneSpec(
-        width=224, height=224,
-        clouds=tuple(deck((112.0, 112.0), 70.0, 261.0)),
-        channels=(CHANNEL_IR,),
-    )
+    return SceneSpec(width=224, height=224, clouds=tuple(deck((112.0, 112.0), 70.0, 261.0)))
 
 
 def preset_mixed() -> SceneSpec:
@@ -284,10 +288,7 @@ def preset_mixed() -> SceneSpec:
     clouds += deck((100.0, 76.0), 9.0, 212.0)
     clouds += deck((142.0, 120.0), 8.0, 208.0)
     clouds += deck((36.0, 184.0), 8.0, 216.0)
-    return SceneSpec(
-        width=224, height=224, clouds=tuple(clouds),
-        channels=(CHANNEL_IR,),
-    )
+    return SceneSpec(width=224, height=224, clouds=tuple(clouds))
 
 
 def preset_wyoming_like() -> SceneSpec:
@@ -352,11 +353,7 @@ def two_cloud_gap_scene() -> SceneSpec:
     clouds += deck((96.0, 253.0), 52.0, 250.0)
     for k in (-2, -1, 0, 1, 2):
         clouds.append(CloudSpec((96.0, 192.0 + 4.0 * k), 1.8, 261.5))
-    return SceneSpec(
-        width=384, height=192, clouds=tuple(clouds),
-        channels=(CHANNEL_IR,),
-        noise_sigma=0.0,
-    )
+    return SceneSpec(width=384, height=192, clouds=tuple(clouds), noise_sigma=0.0)
 
 
 # ---------------------------------------------------------------------------

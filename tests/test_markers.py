@@ -43,6 +43,12 @@ class TestOtsu:
         got = otsu_threshold(make_field(values), bins=3)
         assert got.threshold == oracles.exhaustive_otsu(np.array(values), 3)[0] == 61.0 / 3
 
+    def test_exact_best_split_when_the_float_scores_underflow(self, rng):
+        # every float score is 0.0, so every split with its own low-class count is re-scored
+        values = rng.random((16, 16)) * 1e-160
+        got = otsu_threshold(make_field(values), bins=64)
+        assert got.threshold == oracles.exhaustive_otsu(values, 64)[0]
+
     def test_threshold_within_value_range(self, rng):
         field = smooth_field(rng, 12, 12)
         r = otsu_threshold(field)

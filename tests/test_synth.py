@@ -175,13 +175,13 @@ _REFERENCE_CASES = {
 
 @pytest.fixture
 def stacks(monkeypatch):
-    """(clouds, size) of each stack that synth._render_run evaluates."""
+    """(clouds, rows, columns) of each stack that synth._render_run evaluates."""
     seen = []
     render_run = synth._render_run
 
-    def spy(depression, plume, key, centres, lo, hi, size, width):
-        seen.append((len(centres), size))
-        render_run(depression, plume, key, centres, lo, hi, size, width)
+    def spy(depression, plume, key, centres, lo, hi, n_rows, n_cols, width):
+        seen.append((len(centres), n_rows, n_cols))
+        render_run(depression, plume, key, centres, lo, hi, n_rows, n_cols, width)
 
     monkeypatch.setattr(synth, "_render_run", spy)
     return seen
@@ -196,7 +196,14 @@ class TestRunRendering:
         # this cloud reaches 121 px: its window, clipped at 0 alone, is 124 px wide
         spec = SceneSpec(width=3, height=3, clouds=(CloudSpec((1.0, 1.0), 20.0, 200.0),))
         synth._render(spec)
-        assert stacks == [(1, 3)]
+        assert stacks == [(1, 3, 3)]
+        assert_renders_like_reference(spec)
+
+    def test_a_strip_stacks_no_more_rows_than_it_has(self, stacks):
+        # the cloud reaches 121 px on either axis, but the grid has 3 rows
+        spec = SceneSpec(width=200, height=3, clouds=(CloudSpec((1.0, 100.0), 20.0, 200.0),))
+        synth._render(spec)
+        assert stacks == [(1, 3, 200)]
         assert_renders_like_reference(spec)
 
     def test_an_infinite_reach_covers_the_grid(self):
@@ -212,7 +219,16 @@ class TestRunRendering:
         centres = ((0.0, 24.0), (20.0, 0.0), (39.0, 24.0), (20.0, 47.0), (20.0, 24.0))
         spec = SceneSpec(width=48, height=40, clouds=tuple(CloudSpec(c, 1.6, 230.0) for c in centres))
         synth._render(spec)
-        assert stacks == [(5, 21)]
+        assert stacks == [(5, 21, 21)]
+        assert_renders_like_reference(spec)
+
+    def test_a_stack_of_one_cloud_is_its_own_window(self, stacks, monkeypatch):
+        # one run, split a cloud a stack: the clipped cloud stacks 11 rows, not the run's 21
+        monkeypatch.setattr(synth, "_RUN_ENTRIES", 1)
+        spec = SceneSpec(width=48, height=40, clouds=(CloudSpec((20.0, 24.0), 1.6, 230.0),
+                                                      CloudSpec((0.0, 24.0), 1.6, 230.0)))
+        synth._render(spec)
+        assert stacks == [(1, 21, 21), (1, 11, 21)]
         assert_renders_like_reference(spec)
 
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
