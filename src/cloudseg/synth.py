@@ -16,21 +16,21 @@ a plateau with steep rims keeps the two aligned.
 
 Clouds are rendered a run at a time. A run is a stretch of consecutive
 clouds that share radius_px, depth, hydrometeor_peak and warm/cold species
-split (every deck() lattice is one). Each cloud's reach comes from Python
-math (np.log may differ from libm by an ulp and move a window edge), and
-one numpy pass clips every window, floor/ceil of centre -/+ reach, to the
-grid. A run is rendered in stacks of at most _RUN_ENTRIES pixels: each is
-one (m, rows, cols) Gaussian array from the windows' corners, as tall and
-as wide as its tallest and widest window, masked to each window unless it
-holds one cloud. Its in-window pixels are scattered into flat depression
-and per-species plume planes with np.add.at, cloud-major, runs in spec
-order. This gives the bytes of
-adding one cloud's window at a time: np.add.at is unbuffered and applies
-its entries in order, and a cloud touches a pixel at most once, so every
-pixel still sums its clouds in spec order starting from 0.0. Depth is
-background_bt - min_bt and the denominator 2.0 * radius_px ** 2, as a
-cloud-at-a-time loop computes them. Partial sums (bincount) are never
-added into a plane, since that would change how each pixel's sum associates.
+split (every deck() lattice is one). Each run's reach comes from Python
+math once (np.log may differ from libm by an ulp and move a window edge),
+and one numpy pass clips every window, floor/ceil of centre -/+ reach, to
+the grid. A run is rendered in stacks of at most _RUN_ENTRIES pixels:
+each is one (m, rows, cols) Gaussian array from the windows' corners, as
+tall and as wide as its tallest and widest window, masked to each window
+unless it holds one cloud. Its in-window pixels are scattered into flat
+depression and per-species plume planes with np.add.at, cloud-major, runs
+in spec order. This gives the bytes of adding one cloud's window at a
+time: np.add.at is unbuffered and applies its entries in order, and a
+cloud touches a pixel at most once, so every pixel still sums its clouds
+in spec order starting from 0.0. Depth is background_bt - min_bt and the
+denominator 2.0 * radius_px ** 2, as a cloud-at-a-time loop computes
+them. Partial sums (bincount) are never added into a plane, since that
+would change how each pixel's sum associates.
 
 The water-vapor channel is a smoothed (sigma 2 px), damped (factor 0.6)
 copy of the total depression field offset +10 K; the constants exist only
