@@ -52,7 +52,9 @@ def otsu_threshold(field: Raster2D, bins: int = 256) -> OtsuResult:
     centers = (edges[:-1] + edges[1:]) / 2.0
     counts = hist.astype(np.float64)
     total = counts.sum()
-    cum_s = np.cumsum(counts * centers)
+    # between-class variance is the same for shifted values, and centres
+    # counted from the first keep the digits that 1e8 + x would lose
+    cum_s = np.cumsum(counts * (centers - centers[0]))
     # split k's low class is bins 0..k; vmin falls in the first bin and vmax in
     # the last, so neither class is ever empty
     n0 = np.cumsum(counts)[:-1]
@@ -151,18 +153,15 @@ def generate_markers(field: Raster2D, otsu: OtsuResult, min_seed_area: int = 8) 
         NoSeedRegionsError: min_seed_area wiped out every component.
     """
     min_seed_area = check_number(min_seed_area, "min_seed_area", int, 1)
-    seeds = field.values <= otsu.threshold
-    labels = label_components(seeds)
-    count = int(labels.max())
-    if count == 0:
+    seeds = MarkerMap(label_components(field.values <= otsu.threshold))
+    if seeds.count == 0:
         raise NoSeedRegionsError("no pixel falls at or below the threshold")
-    keep = np.bincount(labels.ravel(), minlength=count + 1) >= min_seed_area
+    keep = seeds.areas >= min_seed_area
     keep[0] = False
     if not keep.any():
         raise NoSeedRegionsError(
-            f"all {count} seed components are smaller than min_seed_area="
+            f"all {seeds.count} seed components are smaller than min_seed_area="
             f"{min_seed_area}; use a smaller value"
         )
     # dropping whole components joins no others: renumber survivors in order
-    labels = (np.cumsum(keep, dtype=np.int32) * keep)[labels]
-    return MarkerMap(labels)
+    return MarkerMap((np.cumsum(keep, dtype=np.int32) * keep)[seeds.labels])

@@ -1,12 +1,15 @@
 """Core raster containers shared by every stage of the pipeline.
 
-All types are immutable after construction: arrays are stored contiguous
-and read-only, so instances can be shared freely across threads.
+All containers are immutable after construction: each ``__init__``
+validates its arguments loudly, clamping or masking nothing, and stores
+them once; the ``_Frozen`` base then refuses any attribute set or delete
+with AttributeError. Arrays are stored contiguous and read-only, also in
+a pickled or deep-copied container, so instances can be shared freely
+across threads. A container equals only itself.
 Raster2D, SegmentMap, CloudMask and HydrometeorVolume keep an input
 array that already has the stored dtype and layout, which leaves the
-caller's array read-only too. Constructors validate invariants loudly;
-nothing is clamped or masked silently. SegmentMap is the one label-map
-type, with 0 as unlabeled; MarkerMap is an alias of it.
+caller's array read-only too. SegmentMap is the one label-map type,
+with 0 as unlabeled; MarkerMap is an alias of it.
 Grids have no empty axis (``_check_grid``) and channel ids hold no NUL,
 so the codec writes and reads back every shape and id they accept.
 Every CLI command loads this module, so it also holds what the CLI needs
@@ -15,7 +18,6 @@ threshold and PreconditionError, the base of the exit-3 errors.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -64,7 +66,27 @@ def finite_bounds(values: np.ndarray):
     return (lo, hi) if np.isfinite(lo) and np.isfinite(hi) else None
 
 
-class _Grid:
+class _Frozen:
+    """A container whose attributes, once stored by ``__init__``, are read-only."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot delete {name!r}")
+
+    def __setstate__(self, state):  # pickle and deepcopy hand over writable arrays
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        vars(self).update(state)
+
+    def __repr__(self):
+        attrs = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({attrs})"
+
+
+class _Grid(_Frozen):
     """height and width of a container whose shape ends in (rows, cols)."""
 
     @property
@@ -76,7 +98,6 @@ class _Grid:
         return self.shape[-1]
 
 
-@dataclass(frozen=True)
 class Raster2D(_Grid):
     """Single-channel 2D grid of finite scalars, row-major.
 
@@ -86,24 +107,20 @@ class Raster2D(_Grid):
             temperature, dimensionless for gradient magnitudes).
     """
 
-    values: np.ndarray
-    units: Units = Units.DIMENSIONLESS
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+    def __init__(self, values, units: Units = Units.DIMENSIONLESS):
+        v = np.asarray(values, dtype=np.float64)
         _check_grid(v, "Raster2D")
         if finite_bounds(v) is None:
             raise ValueError("Raster2D values must be finite (no NaN/Inf)")
-        if not isinstance(self.units, Units):
-            raise ValueError(f"bad units: {self.units!r}")
-        object.__setattr__(self, "values", _freeze(v))
+        if not isinstance(units, Units):
+            raise ValueError(f"bad units: {units!r}")
+        vars(self).update(values=_freeze(v), units=units)
 
     @property
     def shape(self) -> tuple:
         return self.values.shape
 
 
-@dataclass(frozen=True)
 class MultiChannelImage(_Grid):
     """Co-registered stack of named Raster2D channels.
 
@@ -112,10 +129,8 @@ class MultiChannelImage(_Grid):
     bytes).
     """
 
-    channels: tuple
-
-    def __post_init__(self):
-        chans = tuple((str(cid), r) for cid, r in self.channels)
+    def __init__(self, channels):
+        chans = tuple((str(cid), r) for cid, r in channels)
         if not chans:
             raise ValueError("MultiChannelImage needs at least one channel")
         ids = [cid for cid, _ in chans]
@@ -129,7 +144,7 @@ class MultiChannelImage(_Grid):
         shapes = {r.shape for _, r in chans}
         if len(shapes) != 1:
             raise ValueError(f"channels disagree on shape: {sorted(shapes)}")
-        object.__setattr__(self, "channels", chans)
+        vars(self).update(channels=chans)
 
     @property
     def channel_ids(self) -> tuple:
@@ -146,21 +161,17 @@ class MultiChannelImage(_Grid):
         return self.channels[0][1].shape
 
 
-@dataclass(frozen=True)
-class StructuringElement:
+class StructuringElement(_Frozen):
     """Flat square structuring element of size (2*radius+1) squared.
 
     Flat means all weights are zero, so dilation/erosion reduce to plain
     window max/min. Radius 0 is the single-pixel identity element.
     """
 
-    radius: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "radius", check_number(self.radius, "radius", int, 0))
+    def __init__(self, radius: int):
+        vars(self).update(radius=check_number(radius, "radius", int, 0))
 
 
-@dataclass(frozen=True)
 class SegmentMap(_Grid):
     """2D map of consecutive labels 1..K; 0 means unlabeled.
 
@@ -177,10 +188,8 @@ class SegmentMap(_Grid):
     test suite's brute-force flood oracle.
     """
 
-    labels: np.ndarray
-
-    def __post_init__(self):
-        lab = np.asarray(self.labels)
+    def __init__(self, labels):
+        lab = np.asarray(labels)
         _check_grid(lab, "SegmentMap")
         if not np.issubdtype(lab.dtype, np.integer):
             raise ValueError(f"SegmentMap labels must be integers, got {lab.dtype}")
@@ -203,9 +212,7 @@ class SegmentMap(_Grid):
             missing = upto[~np.isin(upto, seen)][:10].tolist()
             more = f" and {k - seen.size - 10} more" if k - seen.size > 10 else ""
             raise ValueError(f"SegmentMap labels must be consecutive 1..K, missing {missing}{more}")
-        object.__setattr__(self, "labels", _freeze(lab))
-        object.__setattr__(self, "count", k)
-        object.__setattr__(self, "areas", _freeze(areas))
+        vars(self).update(labels=_freeze(lab), count=k, areas=_freeze(areas))
 
     @property
     def shape(self) -> tuple:
@@ -215,18 +222,15 @@ class SegmentMap(_Grid):
 MarkerMap = SegmentMap
 
 
-@dataclass(frozen=True)
 class CloudMask(_Grid):
     """Boolean cloud/clear raster (True = cloudy)."""
 
-    flags: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.flags)
+    def __init__(self, flags):
+        f = np.asarray(flags)
         _check_grid(f, "CloudMask")
         if f.dtype != np.bool_:
             raise ValueError(f"CloudMask flags must be boolean, got {f.dtype}")
-        object.__setattr__(self, "flags", _freeze(f))
+        vars(self).update(flags=_freeze(f))
 
     @property
     def shape(self) -> tuple:
@@ -287,7 +291,6 @@ def check_mixing_ratios(values: np.ndarray) -> None:
         raise ValueError("mixing ratios must be non-negative")
 
 
-@dataclass(frozen=True)
 class HydrometeorVolume(_Grid):
     """Stack of hydrometeor mixing-ratio fields, kg/kg.
 
@@ -295,18 +298,14 @@ class HydrometeorVolume(_Grid):
     non-negative. Species ids come from HYDROMETEOR_SPECIES.
     """
 
-    species: tuple
-    values: np.ndarray
-
-    def __post_init__(self):
-        sp = check_species(self.species)
-        v = np.asarray(self.values, dtype=np.float64)
+    def __init__(self, species, values):
+        sp = check_species(species)
+        v = np.asarray(values, dtype=np.float64)
         _check_grid(v, "HydrometeorVolume", 4, " [species][level][row][col]")
         if v.shape[0] != len(sp):
             raise ValueError(f"species axis {v.shape[0]} != {len(sp)} species ids")
         check_mixing_ratios(v)
-        object.__setattr__(self, "species", sp)
-        object.__setattr__(self, "values", _freeze(v))
+        vars(self).update(species=sp, values=_freeze(v))
 
     @property
     def shape(self) -> tuple:

@@ -43,6 +43,31 @@ class TestOtsu:
         got = otsu_threshold(make_field(values), bins=3)
         assert got.threshold == oracles.exhaustive_otsu(np.array(values), 3)[0] == 61.0 / 3
 
+    def test_near_tie_far_from_zero(self):
+        # the low edge wins by 5e-9 in exact arithmetic; summing counts * centres
+        # near 1e8 loses about 2e-7 relative and picked the high edge
+        values = np.array([[1e8 + 0.5, 1e8 + 1, 1e8, 1e8 + 0.5, 1e8 + 0.5]])
+        got = otsu_threshold(make_field(values), bins=3)
+        want_thr, want_var = oracles.exhaustive_otsu(values, 3)
+        assert got.threshold == want_thr == 1e8 + 1 / 3
+        assert abs(got.between_class_variance - want_var) <= 1e-12
+
+    def test_matches_oracle_on_offset_fields(self):
+        # few distinct values far from zero: the float scores of near-tied
+        # splits are only as good as the sums they are computed from
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            offset = 10.0 ** rng.uniform(3, 11)
+            step = float(rng.choice([0.1, 0.25, 0.5, 1.0, 3.0]))
+            k = rng.integers(0, 5, size=(1, int(rng.integers(2, 13))))
+            k[0, 0] = k.max() + 1  # never constant
+            values = offset + k * step
+            bins = int(rng.integers(2, 17))
+            got = otsu_threshold(make_field(values), bins=bins)
+            want_thr, want_var = oracles.exhaustive_otsu(values, bins)
+            assert got.threshold == want_thr
+            assert got.between_class_variance == pytest.approx(want_var, rel=1e-12)
+
     def test_exact_best_split_when_the_float_scores_underflow(self, rng):
         # every float score is 0.0, so every split with its own low-class count is re-scored
         values = rng.random((16, 16)) * 1e-160

@@ -1,6 +1,8 @@
 """Container invariants: bad constructions must fail loudly."""
 
+import copy
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -27,7 +29,7 @@ from cloudseg import (
     merge_small_regions,
     otsu_threshold,
 )
-from cloudseg.raster import finite_bounds
+from cloudseg.raster import _Frozen, finite_bounds
 
 
 class TestRaster2D:
@@ -257,6 +259,50 @@ class TestHydrometeorVolume:
         bad[0, 0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             HydrometeorVolume(("snow",), bad)
+
+
+# every container built by keyword, with the attributes its repr names in order
+CONTAINERS = {
+    "Raster2D": (lambda: Raster2D(values=[[280.0, 281.0]], units=Units.KELVIN), ("values", "units")),
+    "MultiChannelImage": (lambda: MultiChannelImage(channels=[("ir", Raster2D([[1.0, 2.0]]))]), ("channels",)),
+    "StructuringElement": (lambda: StructuringElement(radius=2), ("radius",)),
+    "SegmentMap": (lambda: SegmentMap(labels=[[0, 1], [2, 2]]), ("labels", "count", "areas")),
+    "CloudMask": (lambda: CloudMask(flags=np.array([[True, False]])), ("flags",)),
+    "HydrometeorVolume": (lambda: HydrometeorVolume(species=["rain"], values=np.ones((1, 2, 1, 2))),
+                          ("species", "values")),
+}
+
+
+def _arrays(obj):
+    """Every array held by a container, through its tuples and nested containers."""
+    for value in vars(obj).values() if isinstance(obj, _Frozen) else obj:
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (tuple, _Frozen)):
+            yield from _arrays(value)
+
+
+@pytest.mark.parametrize("make, attrs", CONTAINERS.values(), ids=CONTAINERS.keys())
+def test_container_contract(make, attrs):
+    box = make()
+    held = dict(vars(box))
+    assert tuple(held) == attrs
+    for name in (*attrs, "extra"):
+        with pytest.raises(AttributeError, match=f"{type(box).__name__} is read-only: cannot set '{name}'"):
+            setattr(box, name, None)
+        with pytest.raises(AttributeError, match=f"{type(box).__name__} is read-only: cannot delete '{name}'"):
+            delattr(box, name)
+    assert all(vars(box)[name] is value for name, value in held.items())
+    text = repr(box)
+    assert text.startswith(f"{type(box).__name__}(") and all(f"{name}=" in text for name in attrs)
+    # equality is identity: no generated __eq__ compares arrays, so none raises
+    assert box == box and box != make() and hash(box) == hash(box)
+    for clone in (pickle.loads(pickle.dumps(box)), copy.deepcopy(box)):
+        assert type(clone) is type(box) and repr(clone) == text
+        arrays = list(_arrays(clone))
+        assert len(arrays) == len(list(_arrays(box))) and not any(a.flags.writeable for a in arrays)
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(clone, attrs[0], None)
 
 
 FIELD = Raster2D(np.arange(4.0).reshape(2, 2))
