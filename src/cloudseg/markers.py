@@ -52,8 +52,8 @@ def otsu_threshold(field: Raster2D, bins: int = 256) -> OtsuResult:
     centers = (edges[:-1] + edges[1:]) / 2.0
     counts = hist.astype(np.float64)
     total = counts.sum()
-    # between-class variance is the same for shifted values, and centres
-    # counted from the first keep the digits that 1e8 + x would lose
+    # the variance does not change under a shift, and sums of centres counted
+    # from the first keep the digits that a far-from-zero offset cancels
     cum_s = np.cumsum(counts * (centers - centers[0]))
     # split k's low class is bins 0..k; vmin falls in the first bin and vmax in
     # the last, so neither class is ever empty
