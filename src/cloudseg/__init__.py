@@ -12,12 +12,13 @@ __version__ = "0.1.0"
 
 # public name -> submodule that defines it
 _EXPORTS = {
+    **dict.fromkeys(("FormatError", "PreconditionError", "read_mask_bytes"), "base"),
     **dict.fromkeys((
         "CloudMask", "HYDROMETEOR_SPECIES", "HydrometeorVolume", "MarkerMap", "MultiChannelImage",
-        "PreconditionError", "Raster2D", "SegmentMap", "StructuringElement", "Units",
+        "Raster2D", "SegmentMap", "StructuringElement", "Units",
     ), "raster"),
     **dict.fromkeys((
-        "FormatError", "read_cloud_mask", "read_raster_file", "read_segment_map",
+        "read_cloud_mask", "read_raster_file", "read_segment_map",
         "read_volume_file", "read_volume_levels", "write_raster_file", "write_volume_file",
     ), "formats"),
     **dict.fromkeys((

@@ -16,20 +16,17 @@ import math
 import os
 import sys
 
-from . import __getattr__  # a stage name looked up here resolves through the package's exports
-from .formats import (FormatError, read_cloud_mask, read_raster_file, read_volume_levels, write_raster_file,
-                      write_volume_file)
-from .raster import (MIXING_RATIO_THRESHOLD, PRESET_NAMES, MultiChannelImage, PreconditionError, check_number,
-                     parse_channel_ids)
+from . import __getattr__  # a name looked up here resolves through the package's exports
+from .base import MIXING_RATIO_THRESHOLD, PRESET_NAMES, FormatError, PreconditionError, check_number, parse_channel_ids
 
 EXIT_OK = 0
 EXIT_DATA = 2
 EXIT_ALGORITHM = 3
 EXIT_USAGE = 64
 
-# Every command loads raster and formats; each command calls its stages as
-# attributes of this module, _cli.<name>, so a stage module loads only in
-# the command that runs it, and a name rebound here (perfbench's span
+# Each command calls its codec, containers and stages as attributes of this
+# module, _cli.<name>, so a module loads only in the command that uses it
+# (evaluate loads no numpy), and a name rebound here (perfbench's span
 # tracer, a test's fake) is the one the command calls.
 _cli = sys.modules[__name__]
 
@@ -43,7 +40,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _number(kind, low=-math.inf, high=math.inf):
-    """argparse type: kind(text) as raster.check_number judges it in [low, high]."""
+    """argparse type: kind(text) as base.check_number judges it in [low, high]."""
     def parse(text: str):
         value = kind(text)  # a ValueError here is argparse's "invalid int value"
         try:
@@ -171,20 +168,20 @@ def _cmd_synth(args) -> int:
         spec = dataclasses.replace(spec, noise_sigma=args.noise_sigma)
     image, volume = _cli.generate_scene(spec)
     with _outputs(args.scene_output, args.volume_output) as (scene_path, volume_path):
-        write_raster_file(image, scene_path)
-        write_volume_file(volume, volume_path)
+        _cli.write_raster_file(image, scene_path)
+        _cli.write_volume_file(volume, volume_path)
     return EXIT_OK
 
 
 def _read_channels(args) -> tuple:
     """The input's channels, and those that --channels selects (all by default)."""
-    image = read_raster_file(args.input)
+    image = _cli.read_raster_file(args.input)
     if not args.channels:
         return image, image
-    return image, MultiChannelImage(tuple((cid, image.raster(cid)) for cid in args.channels))
+    return image, _cli.MultiChannelImage(tuple((cid, image.raster(cid)) for cid in args.channels))
 
 
-def _fused_gradient(selected: MultiChannelImage, args):
+def _fused_gradient(selected, args):
     cfg = _cli.GradientConfig(n_scales=args.scales, normalize_channels=args.normalize_channels)
     return _cli.multispectral_gradient(selected, cfg)
 
@@ -192,7 +189,7 @@ def _fused_gradient(selected: MultiChannelImage, args):
 def _cmd_gradient(args) -> int:
     field = _fused_gradient(_read_channels(args)[1], args)
     with _outputs(args.output) as (path,):
-        write_raster_file(MultiChannelImage((("gradient", field),)), path)
+        _cli.write_raster_file(_cli.MultiChannelImage((("gradient", field),)), path)
     return EXIT_OK
 
 
@@ -210,8 +207,8 @@ def _cmd_segment(args) -> int:
         seg = _cli.merge_small_regions(seg, min_area=args.min_area)
     mask, stats = _cli.classify_regions(seg, bt, clear_sky_cutoff=args.clear_sky_cutoff, gradient=field)
     with _outputs(args.segments_output, args.mask_output, args.stats_output) as (seg_p, mask_p, stats_p):
-        write_raster_file(seg, seg_p)
-        write_raster_file(mask, mask_p)
+        _cli.write_raster_file(seg, seg_p)
+        _cli.write_raster_file(mask, mask_p)
         # no field ever holds a comma, quote or line break, so none is quoted
         with open(stats_p, "w", newline="") as fh:
             fh.write("label,area,mean_bt,min_bt,mean_gradient,is_cloud\n")
@@ -222,27 +219,27 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_ccs(args) -> int:
-    image = read_raster_file(args.input)
+    image = _cli.read_raster_file(args.input)
     bt = image.raster(args.bt_channel or image.channel_ids[0])
     cfg = _cli.CcsConfig(threshold_levels=args.levels, min_area=args.min_area)
     seg = _cli.ccs_segment(bt, cfg)
     with _outputs(args.segments_output, args.mask_output) as (seg_path, mask_path):
-        write_raster_file(seg, seg_path)
-        write_raster_file(_cli.ccs_cloud_mask(seg), mask_path)
+        _cli.write_raster_file(seg, seg_path)
+        _cli.write_raster_file(_cli.ccs_cloud_mask(seg), mask_path)
     return EXIT_OK
 
 
 def _cmd_truth_mask(args) -> int:
-    _, _, levels = read_volume_levels(args.input)
+    _, _, levels = _cli.read_volume_levels(args.input)
     mask = _cli.derive_truth_mask(levels, threshold=args.threshold)
     with _outputs(args.output) as (path,):
-        write_raster_file(mask, path)
+        _cli.write_raster_file(mask, path)
     return EXIT_OK
 
 
 def _cmd_evaluate(args) -> int:
-    prediction = read_cloud_mask(args.prediction)
-    truth = read_cloud_mask(args.truth)
+    prediction = _cli.read_mask_bytes(args.prediction)
+    truth = _cli.read_mask_bytes(args.truth)
     report = _cli.verify(_cli.contingency(prediction, truth))
     with _outputs(args.output) as (path,), open(path, "w") as fh:
         json.dump(dataclasses.asdict(report), fh, indent=2)

@@ -38,19 +38,20 @@ Both formats are one frame: a header with its ids, then (height, width)
 planes, each a GMS1 channel or one species of a GMSV level. Every reader
 takes the planes one at a time into one reused plane buffer after the
 header, id and file-size checks, and every write streams them (a GMSV
-level at a time), so neither direction holds the whole payload.
+level at a time), so neither direction holds the whole payload. The
+header reader, the format constants, FormatError and the mask reader
+``read_mask_bytes`` live in the numpy-free ``base``.
 """
 
-import functools
 import itertools
 import math
-import os
 import struct
 
 import numpy as np
 
+from .base import (_ID_BYTES, DTYPE_F32, DTYPE_U8, DTYPE_U32, MAGIC_RASTER, MAGIC_VOLUME, VERSION, FormatError,
+                   _check_dims, _header, _one_channel, _reader, read_mask_bytes)
 from .raster import (
-    MAX_ELEMENTS,
     CloudMask,
     HydrometeorVolume,
     MultiChannelImage,
@@ -62,20 +63,7 @@ from .raster import (
     finite_bounds,
 )
 
-MAGIC_RASTER = b"GMS1"
-MAGIC_VOLUME = b"GMSV"
-VERSION = 1
-
-DTYPE_F32 = 1
-DTYPE_U8 = 2
-DTYPE_U32 = 3
 _NP_DTYPES = {DTYPE_F32: "<f4", DTYPE_U8: "u1", DTYPE_U32: "<u4"}
-
-_ID_BYTES = 16
-
-
-class FormatError(ValueError):
-    """Malformed GMS1/GMSV file. The message states the specific defect."""
 
 
 # ---------------------------------------------------------------------------
@@ -150,79 +138,6 @@ def write_volume_file(vol: HydrometeorVolume, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _take(fh, size: int, what: str) -> bytes:
-    offset = fh.tell()
-    raw = fh.read(size)
-    if len(raw) < size:
-        raise FormatError(f"truncated payload: need {size} bytes for {what} at offset {offset}")
-    return raw
-
-
-def _unpack_ids(raw: bytes, count: int) -> list:
-    ids = []
-    for i in range(count):
-        name = raw[i * _ID_BYTES:(i + 1) * _ID_BYTES].rstrip(b"\0")
-        try:
-            ids.append(name.decode("ascii"))
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"non-ASCII id at index {i}") from exc
-    return ids
-
-
-def _check_dims(*dims):
-    total = 1
-    for d in dims:
-        if d == 0:
-            raise FormatError(f"zero dimension in header: {dims}")
-        total *= d
-    if total > MAX_ELEMENTS:  # rejected as corrupt before any allocation
-        raise FormatError(f"dimension overflow: {dims} implies {total} elements")
-    return total
-
-
-def _header(fh, magic: bytes, dtype_code: int, what: str):
-    """Check the header of an open GMS1 or GMSV file that must hold `what`
-    (e.g. "a u8 mask") data, and that the file is exactly as long as the
-    header says, before any payload is read. Returns (header dims, ids)
-    with `fh` at the payload; the last dim counts the ids (channels or
-    species)."""
-    head = _take(fh, 4, "magic")
-    if head != magic:
-        raise FormatError(f"bad magic {head!r}, expected {magic!r}")
-    ndims = 4 if magic == MAGIC_VOLUME else 3
-    version, code, reserved, *dims = struct.unpack("<BBH" + "I" * ndims, _take(fh, 4 + 4 * ndims, "header"))
-    if version != VERSION:
-        raise FormatError(f"unsupported version {version}")
-    if code not in _NP_DTYPES:
-        raise FormatError(f"unknown dtype code {code}")
-    if code != dtype_code:
-        raise FormatError(f"dtype code {code} is not {what} file")
-    if reserved != 0:
-        raise FormatError(f"reserved field must be 0, got {reserved}")
-    total = _check_dims(*dims)
-    size = fh.tell() + _ID_BYTES * dims[-1] + total * np.dtype(_NP_DTYPES[code]).itemsize
-    actual = os.fstat(fh.fileno()).st_size
-    if actual < size:
-        raise FormatError(f"truncated payload: header implies {size} bytes, file has {actual}")
-    if actual > size:
-        raise FormatError(f"trailing data: {actual - size} unexpected bytes")
-    return dims, _unpack_ids(_take(fh, _ID_BYTES * dims[-1], "ids"), dims[-1])
-
-
-def _reader(read):
-    """Report every invalid file as FormatError: the containers' own
-    ValueErrors (duplicate ids, unknown species, label gaps...) included."""
-    @functools.wraps(read)
-    def checked(path, *args, **kwargs):
-        try:
-            return read(path, *args, **kwargs)
-        except FormatError:
-            raise
-        except ValueError as exc:
-            raise FormatError(f"invalid contents: {exc}") from exc
-    return checked
-
-
 def _planes(path, magic: bytes, dtype_code: int, what: str):
     """Generator behind every reader: first (header dims, ids), once every
     header, id and file-size check has passed, then each (height, width)
@@ -230,7 +145,7 @@ def _planes(path, magic: bytes, dtype_code: int, what: str):
     until the next: a GMS1 channel, or one species of a GMSV level (levels
     outermost, species in id order within each).
     Every payload value is judged here, a plane at a time: f32 channels finite,
-    mask bytes 0 or 1, mixing ratios finite and non-negative."""
+    mixing ratios finite and non-negative."""
     with open(path, "rb") as fh:
         dims, ids = _header(fh, magic, dtype_code, what)
         yield dims, ids
@@ -247,24 +162,10 @@ def _planes(path, magic: bytes, dtype_code: int, what: str):
                     check_mixing_ratios(plane)
                 elif dtype_code == DTYPE_F32 and finite_bounds(plane) is None:  # before a float64 cast
                     raise ValueError("non-finite payload values")
-                elif dtype_code == DTYPE_U8 and plane.max() > 1:
-                    raise ValueError("payload bytes must be 0 or 1")
             except ValueError as exc:
                 where = f"level {k // len(ids)}" if volume else f"channel {ids[k]!r}"
                 raise FormatError(f"invalid contents in {where}: {exc}") from exc
             yield plane
-
-
-def _one_plane(path, dtype_code: int, what: str, channel_id: str) -> np.ndarray:
-    """The one plane of a GMS1 file that must hold one channel of id channel_id."""
-    planes = _planes(path, MAGIC_RASTER, dtype_code, what)
-    (_, _, count), ids = next(planes)
-    if count != 1:
-        raise FormatError(f"{what} file must hold one channel, found {count}")
-    if ids[0] != channel_id:
-        raise FormatError(f"{what} file's channel id must be {channel_id!r}, got {ids[0]!r}")
-    (plane,) = planes
-    return plane
 
 
 @_reader
@@ -282,13 +183,17 @@ def read_raster_file(path) -> MultiChannelImage:
 @_reader
 def read_segment_map(path) -> SegmentMap:
     """Read a GMS1 u32 label file as a SegmentMap (0 = unlabeled)."""
-    return SegmentMap(_one_plane(path, DTYPE_U32, "a u32 segment", "labels"))
+    planes = _planes(path, MAGIC_RASTER, DTYPE_U32, "a u32 segment")
+    _one_channel(*next(planes), "a u32 segment", "labels")
+    (plane,) = planes
+    return SegmentMap(plane)
 
 
 @_reader
 def read_cloud_mask(path) -> CloudMask:
-    """Read a GMS1 u8 mask file."""
-    return CloudMask(_one_plane(path, DTYPE_U8, "a u8 mask", "mask").astype(bool))
+    """Read a GMS1 u8 mask file: read_mask_bytes's payload viewed as bools."""
+    shape, payload = read_mask_bytes(path)
+    return CloudMask(np.frombuffer(payload, bool).reshape(shape))
 
 
 @_reader

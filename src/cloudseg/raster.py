@@ -12,28 +12,19 @@ caller's array read-only too. SegmentMap is the one label-map type,
 with 0 as unlabeled; MarkerMap is an alias of it.
 Grids have no empty axis (``_check_grid``) and channel ids hold no NUL,
 so the codec writes and reads back every shape and id they accept.
-Every CLI command loads this module, so it also holds what the CLI needs
-before a command loads its stages: the preset names, the truth-mask
-threshold and PreconditionError, the base of the exit-3 errors.
+The preset names, the truth-mask threshold, the codec's element cap,
+PreconditionError and check_number live in the numpy-free ``base``, which
+the CLI loads before any command, and are re-exported here.
 """
 
-import math
 from enum import Enum
 
 import numpy as np
 
+from .base import (MAX_ELEMENTS, MIXING_RATIO_THRESHOLD, PRESET_NAMES, PreconditionError, check_number,
+                   parse_channel_ids)
+
 HYDROMETEOR_SPECIES = ("cloud_water", "cloud_ice", "rain", "snow", "graupel")
-MIXING_RATIO_THRESHOLD = 1e-6  # kg/kg: a column above it is cloud in the truth mask
-PRESET_NAMES = ("harvey_like", "mixed", "warm_stratiform", "wyoming_like")
-# The most payload elements a GMS1 or GMSV file may hold: the codec reads
-# no header that promises more, and synth renders no scene whose volume
-# would hold more.
-MAX_ELEMENTS = 2 ** 31
-
-
-class PreconditionError(ValueError):
-    """An algorithm's input leaves it nothing to do: a constant field, no
-    seed regions, no markers."""
 
 
 class Units(Enum):
@@ -239,30 +230,6 @@ class CloudMask(_Grid):
     @property
     def cloud_count(self) -> int:
         return int(self.flags.sum())
-
-
-def check_number(value, name: str, kind=float, low=-math.inf, high=math.inf):
-    """value as a finite ``kind`` (int or float) in [low, high], else a
-    ValueError naming the parameter and its range.
-
-    An int must already be a Python or numpy integer: nothing is rounded.
-    A float is ``float(value)``. A bool is neither. -inf < x < inf is false
-    for NaN and, unlike math.isfinite, takes any int.
-    """
-    number = math.nan  # fails the test below
-    if not isinstance(value, (bool, np.bool_)) and (kind is float or isinstance(value, (int, np.integer))):
-        try:
-            number = kind(value)
-        except (OverflowError, ValueError):  # an int beyond float's range, or text that is no number
-            pass
-    if not (-math.inf < number < math.inf and low <= number <= high):
-        raise ValueError(f"{name} must be a finite {kind.__name__} in [{low}, {high}], got {value!r}")
-    return number
-
-
-def parse_channel_ids(text: str) -> tuple:
-    """The stripped ids of a comma-separated list, empty entries dropped."""
-    return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
 def check_species(species) -> tuple:

@@ -8,18 +8,18 @@ ORs each level's test into one bool plane: a volume streamed from its
 file needs one f32 species plane, one float64 sum plane and two bool
 planes at a time. Scores follow the standard contingency-table
 definitions; metrics whose denominator is zero are reported as None
-(serialized to JSON null), never as 0 or NaN.
+(serialized to JSON null), never as 0 or NaN. The table counts 0/1
+bytes, so only the truth rule loads numpy.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .raster import MIXING_RATIO_THRESHOLD, CloudMask, HydrometeorVolume, check_number
+from .base import MIXING_RATIO_THRESHOLD, check_number
 
 
-def derive_truth_mask(levels, threshold: float = MIXING_RATIO_THRESHOLD) -> CloudMask:
+def derive_truth_mask(levels, threshold: float = MIXING_RATIO_THRESHOLD) -> "CloudMask":
     """Column is cloudy iff the vertical max of the summed species profile
     exceeds the threshold (sum first, then maximize).
 
@@ -35,6 +35,10 @@ def derive_truth_mask(levels, threshold: float = MIXING_RATIO_THRESHOLD) -> Clou
             used before the next is taken, so a reader may reuse its buffer.
         threshold: mixing ratio (kg/kg) a column's maximum must exceed.
     """
+    import numpy as np
+
+    from .raster import CloudMask, HydrometeorVolume
+
     threshold = check_number(threshold, "threshold")
     if isinstance(levels, HydrometeorVolume):
         levels = levels.values.transpose(1, 0, 2, 3)
@@ -76,18 +80,27 @@ class ContingencyTable:
         return self.hits + self.misses + self.false_alarms + self.correct_negatives
 
 
-def contingency(pred: CloudMask, truth: CloudMask) -> ContingencyTable:
-    """Tally TP/FN/FP/TN between a predicted and a reference mask."""
-    if pred.shape != truth.shape:
-        raise ValueError(f"dimension mismatch: prediction {pred.shape} vs truth {truth.shape}")
-    hits = int(np.count_nonzero(pred.flags & truth.flags))
-    predicted = int(np.count_nonzero(pred.flags))
-    observed = int(np.count_nonzero(truth.flags))
+def _pixel_bytes(mask) -> tuple:
+    """(shape, one byte 0 or 1 per pixel) of a CloudMask or a read_mask_bytes pair."""
+    return mask if isinstance(mask, tuple) else (mask.shape, mask.flags.astype("u1"))
+
+
+def contingency(pred, truth) -> ContingencyTable:
+    """Tally TP/FN/FP/TN between a predicted and a reference mask, each a
+    CloudMask or the ((height, width), payload) of ``base.read_mask_bytes``:
+    read as one integer, a mask's 0/1 bytes hold a set bit per cloudy pixel."""
+    (shape, pred), (truth_shape, truth) = _pixel_bytes(pred), _pixel_bytes(truth)
+    if shape != truth_shape:
+        raise ValueError(f"dimension mismatch: prediction {shape} vs truth {truth_shape}")
+    pred, truth = int.from_bytes(pred, "little"), int.from_bytes(truth, "little")
+    hits = (pred & truth).bit_count()
+    predicted = pred.bit_count()
+    observed = truth.bit_count()
     return ContingencyTable(
         hits=hits,
         misses=observed - hits,
         false_alarms=predicted - hits,
-        correct_negatives=pred.flags.size - predicted - observed + hits,
+        correct_negatives=math.prod(shape) - predicted - observed + hits,
     )
 
 

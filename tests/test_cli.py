@@ -582,6 +582,7 @@ _CHILD = (
     "print(json.dumps({{'numpy_on_import': numpy_on_import,\n"
     "                  'blas_threads': os.environ.get('OPENBLAS_NUM_THREADS'),\n"
     "                  'frozen': gc.get_freeze_count() > 0,\n"
+    "                  'numpy': 'numpy' in sys.modules,\n"
     "                  'cloudseg': sorted(m for m in sys.modules if m.split('.')[0] == 'cloudseg'),\n"
     "                  'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
     "                  'csv': 'csv' in sys.modules,\n"
@@ -604,8 +605,9 @@ def _run_child(module, commands, blas_threads=None) -> dict:
 @pytest.mark.parametrize("module, blas_threads, expected", [
     # the package exports lazily, so the entry point can act before numpy loads
     ("cloudseg", None, {"numpy_on_import": False, "blas_threads": None}),
-    # the library never sets the BLAS default; only the entry point does
-    ("cloudseg.cli", None, {"numpy_on_import": True, "blas_threads": None}),
+    # the library never sets the BLAS default; only the entry point does. The
+    # CLI loads numpy only in a command that needs it
+    ("cloudseg.cli", None, {"numpy_on_import": False, "blas_threads": None}),
     # the runtime needs numpy alone: no command loads scipy, synth included
     ("cloudseg.__main__", None, {"numpy_on_import": False, "blas_threads": "1"}),
     ("cloudseg.__main__", "3", {"numpy_on_import": False, "blas_threads": "3"}),
@@ -653,16 +655,18 @@ def test_stage_names_resolve_on_the_cli_module():
         cli.nope
 
 
-# The stage modules each command's child loads; every command also loads the
-# package, cloudseg.__main__, cloudseg.cli, and the raster and formats modules.
-# truth-mask and evaluate load no detection stage, and no command but synth
-# loads the scene generator.
+# The modules each command's child loads besides the package, cloudseg.__main__,
+# cloudseg.cli and cloudseg.base, which every command loads. truth-mask and
+# evaluate load no detection stage, no command but synth loads the scene
+# generator, and evaluate loads neither the containers nor the codec, and so
+# no numpy.
 _COMMAND_MODULES = {
-    "synth": {"synth"},
-    "gradient": {"morphology"},
-    "segment": {"morphology", "markers", "flood", "watershed"},
-    "ccs": {"ccs", "flood", "markers", "morphology", "watershed"},  # flood steps with morphology's window
-    "truth-mask": {"verification"},
+    "synth": {"raster", "formats", "synth"},
+    "gradient": {"raster", "formats", "morphology"},
+    "segment": {"raster", "formats", "morphology", "markers", "flood", "watershed"},
+    # flood steps with morphology's window
+    "ccs": {"raster", "formats", "ccs", "flood", "markers", "morphology", "watershed"},
+    "truth-mask": {"raster", "formats", "verification"},
     "evaluate": {"verification"},
 }
 
@@ -707,13 +711,31 @@ def test_child_loads_only_its_command(tmp_path, wyoming_inputs, command):
     that cli.main writes in-process."""
     argv, paths = _command_argv(command, wyoming_inputs, tmp_path, "child-")
     observed = _run_child("cloudseg.__main__", [argv])
-    common = {"cloudseg", "cloudseg.__main__", "cloudseg.cli", "cloudseg.raster", "cloudseg.formats"}
+    common = {"cloudseg", "cloudseg.__main__", "cloudseg.cli", "cloudseg.base"}
     assert set(observed["cloudseg"]) == common | {f"cloudseg.{m}" for m in _COMMAND_MODULES[command]}
+    assert observed["numpy"] == (command != "evaluate")
     assert observed["frozen"]
     reference_argv, references = _command_argv(command, wyoming_inputs, tmp_path, "in-process-")
     assert run(*reference_argv) == 0
     for path, reference in zip(paths, references):
         assert path.read_bytes() == reference.read_bytes()
+
+
+def test_evaluate_runs_without_numpy(tmp_path, wyoming_inputs):
+    """evaluate needs no numpy: in a child where importing numpy fails, the
+    process entry point writes the report that cli.main writes in-process."""
+    argv, (path,) = _command_argv("evaluate", wyoming_inputs, tmp_path, "child-")
+    child = ("import sys\n"
+             "sys.modules['numpy'] = None  # every import of numpy now raises ImportError\n"
+             "from cloudseg.__main__ import main\n"
+             "main()\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cloudseg.__file__)))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", child, *map(str, argv)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    reference_argv, (reference,) = _command_argv("evaluate", wyoming_inputs, tmp_path, "in-process-")
+    assert run(*reference_argv) == 0
+    assert path.read_bytes() == reference.read_bytes()
 
 
 # A small launcher runs the child: Linux carries a process's RSS into the

@@ -29,6 +29,7 @@ from cloudseg import (
     write_raster_file,
     write_volume_file,
 )
+from cloudseg import cli
 from cloudseg.formats import encode_raster_file, encode_volume_file
 
 
@@ -522,6 +523,36 @@ class TestPlaneContents:
         p.write_bytes(data)
         with pytest.raises(FormatError, match=match):
             read(p)
+
+
+_MASK = header(2, 2, 1, 1) + ids("mask") + b"\x01\x00"
+
+
+@pytest.mark.parametrize("data", [
+    b"NOPE" + _MASK[4:],
+    header(1, 2, 1, 1) + ids("mask") + f32(1.0, 0.0),
+    b"GMS1" + struct.pack("<BBHIII", 1, 2, 7, 2, 1, 1) + _MASK[20:],
+    _MASK[:-1],
+    _MASK + b"\0",
+    header(2, 2, 1, 1) + b"m\xe4sk".ljust(16, b"\0") + b"\x01\x00",
+    header(2, 1, 1, 2) + ids("mask", "more") + b"\x01\x00",
+    header(2, 1, 1, 1) + ids("labels") + b"\x01",
+    header(2, 2, 1, 1) + ids("mask") + b"\x01\x02",
+], ids=["magic", "dtype", "reserved", "truncated", "trailing", "non-ascii-id", "two-channels", "wrong-id",
+        "byte-2"])
+def test_malformed_mask_reads_the_same_through_evaluate(tmp_path, capsys, data):
+    """evaluate reads its masks without a CloudMask, yet refuses each
+    malformed mask, on either side, with read_cloud_mask's FormatError."""
+    bad, good, report = tmp_path / "bad.gms1", tmp_path / "good.gms1", tmp_path / "report.json"
+    bad.write_bytes(data)
+    good.write_bytes(_MASK)
+    with pytest.raises(FormatError) as refused:
+        read_cloud_mask(bad)
+    for prediction, truth in ((bad, good), (good, bad)):
+        argv = ["evaluate", "--prediction", str(prediction), "--truth", str(truth), "--output", str(report)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"cloudseg: {refused.value}\n"
+    assert not report.exists()
 
 
 def _valid_files():

@@ -375,7 +375,7 @@ NUMBER_SITES = [
 
 def _rejected(kind, low) -> dict:
     """The values a site of this kind and low bound must reject, by id."""
-    values = {"True": True, "nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+    values = {"True": True, "np.True_": np.True_, "nan": math.nan, "inf": math.inf, "-inf": -math.inf}
     if low > -math.inf:
         values["low-1"] = low - 1
     if kind is int:

@@ -107,6 +107,15 @@ class TestContingency:
             assert (table.hits, table.misses, table.false_alarms, table.correct_negatives) == \
                 oracles.tally(pred.flags, truth.flags)
 
+    def test_non_canonical_bools_match_pixel_tally(self):
+        """A bool array may view bytes other than 0 and 1: each nonzero byte
+        is one cloudy pixel, however it is stored."""
+        pred, truth = (CloudMask(np.frombuffer(raw, bool).reshape(2, 3))
+                       for raw in (b"\x02\x01\x00\x01\xff\x00", b"\x01\x01\x00\x00\x80\xfe"))
+        table = contingency(pred, truth)
+        assert (table.hits, table.misses, table.false_alarms, table.correct_negatives) == \
+            oracles.tally(pred.flags, truth.flags) == (3, 1, 1, 1)
+
     def test_swap_transposes_misses_and_false_alarms(self, rng):
         pred = CloudMask(rng.random((5, 5)) > 0.4)
         truth = CloudMask(rng.random((5, 5)) > 0.6)
