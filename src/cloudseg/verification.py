@@ -89,13 +89,13 @@ def contingency(pred, truth) -> ContingencyTable:
     """Tally TP/FN/FP/TN between a predicted and a reference mask, each a
     CloudMask or the ((height, width), payload) of ``base.read_mask_bytes``:
     read as one integer, a mask's 0/1 bytes hold a set bit per cloudy pixel."""
-    (shape, pred), (truth_shape, truth) = _pixel_bytes(pred), _pixel_bytes(truth)
+    (shape, pred_bytes), (truth_shape, truth_bytes) = _pixel_bytes(pred), _pixel_bytes(truth)
     if shape != truth_shape:
         raise ValueError(f"dimension mismatch: prediction {shape} vs truth {truth_shape}")
-    pred, truth = int.from_bytes(pred, "little"), int.from_bytes(truth, "little")
-    hits = (pred & truth).bit_count()
-    predicted = pred.bit_count()
-    observed = truth.bit_count()
+    p, t = int.from_bytes(pred_bytes, "little"), int.from_bytes(truth_bytes, "little")
+    hits = (p & t).bit_count()
+    predicted = p.bit_count()
+    observed = t.bit_count()
     return ContingencyTable(
         hits=hits,
         misses=observed - hits,
